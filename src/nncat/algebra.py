@@ -48,9 +48,9 @@ class Mat:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        for v in self.entries:
-            if not math.isfinite(v):
-                raise DomainError(f"matrix entry is not finite: {v!r}")
+        if not all(map(math.isfinite, self.entries)):
+            bad = next(v for v in self.entries if not math.isfinite(v))
+            raise DomainError(f"matrix entry is not finite: {bad!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]], cols: int | None = None) -> "Mat":

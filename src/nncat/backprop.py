@@ -1,14 +1,20 @@
 """One backward-propagation training step over a whole network, and a
 deterministic single-example SGD loop on top of it.
 
-The step runs one forward sweep, caching every intermediate state, then
-one backward sweep that turns the output erosion into per-layer error
-signals and gradients, reusing each signal to build the erosion one
-stage earlier.  All gradients are taken against the original weights;
-updates are applied only after the sweep, so the updated network is a
-function of (network, input, loss) alone.  That discipline is what makes
-the step compose: stepping a concatenated network equals concatenating
-the steps of its parts against the appropriately pulled-back losses.
+The step is two sweeps.  The forward sweep runs each layer once and
+caches its pre-activation and output.  The backward sweep runs the
+per-layer kernel `layer_pass` from the last layer to the first: from the
+cached states and the erosion at a layer's output it builds the layer's
+gradient, its masked update and the erosion one stage earlier, without
+running the forward pass again.  All gradients are taken against the
+original weights, so the updated network is a function of (network,
+input, loss) alone.  That discipline is what makes the step compose:
+stepping a concatenated network equals concatenating the steps of its
+parts against the appropriately pulled-back losses.
+
+Each gradient and each updated matrix is validated once, as a new
+`Mat`; updated layers reuse the mask and bias flags checked when the
+layer was built.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import ShapeError, Vec, outer, vec_mat, weights_part
-from .backward import Gradient, layer_erosion_vector, masked_update
+from .algebra import Mat, ShapeError, Vec
+from .backward import Gradient, layer_pass
 from .loss import LossPredicate, squared_error, transform_loss, validity
-from .network import Network, compose, net_forward, layer_forward
+from .network import Network, compose, forward_cached, net_forward
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,9 @@ def backprop_step(
 ) -> tuple[Network, BackpropTrace]:
     """Apply one gradient update to every layer of the network.
 
-    Forward sweep caches states; backward sweep computes each layer's
-    error signal against the pre-update weights, records its gradient,
-    and pushes the erosion one stage back.  Masked updates happen last.
+    Forward sweep caches pre-activations and states; backward sweep runs
+    each layer's kernel against the pre-update weights, recording its
+    gradient and update and pushing the erosion one stage back.
     """
     if len(a) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
@@ -60,8 +66,11 @@ def backprop_step(
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
 
     states = [a]
+    pre_activations = []
     for layer in net.layers:
-        states.append(layer_forward(layer, states[-1]))
+        z, y = forward_cached(layer, states[-1])
+        pre_activations.append(z)
+        states.append(y)
 
     e = loss.erosion(states[-1])
     erosions = [e]
@@ -69,11 +78,12 @@ def backprop_step(
     updated_rev = []
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        s = layer_erosion_vector(layer, states[idx], e)
-        g = Gradient(outer(s, states[idx] + (1.0,)))
-        grads_rev.append(g)
-        updated_rev.append(masked_update(layer, g))
-        e = vec_mat(s, weights_part(layer.transition))
+        t = layer.transition
+        grad, new, e = layer_pass(
+            layer, states[idx], pre_activations[idx], states[idx + 1], e
+        )
+        grads_rev.append(Gradient(Mat(t.rows, t.cols, grad)))
+        updated_rev.append(layer._with_transition(Mat(t.rows, t.cols, new)))
         erosions.append(e)
 
     trace = BackpropTrace(

@@ -1,5 +1,5 @@
-"""Backward-pass primitives: erosion transformation, layer gradients,
-masked updates.
+"""Backward-pass primitives: the per-layer backward kernel, erosion
+transformation, layer gradients, masked updates.
 
 The central quantity is the per-layer error signal: the output erosion
 weighted by the activation slope at each pre-activation.  A layer's
@@ -9,19 +9,29 @@ one by construction.  Pushing the signal through the layer's weight
 columns turns an output erosion into an input erosion, which is what a
 multi-layer backward sweep iterates.
 
+Every route runs on cached forward states.  `forward_cached` gives a
+layer's pre-activation z and output y once; `layer_pass` reads the
+signal off them and then, in one row-major pass over the transition
+matrix, builds each output node's gradient row, its masked-update row
+and its share of the input erosion, reading the weights in place.
+`backprop_step`, `layer_gradient` and `erosion_transform_layer` all go
+through it.  Each sum starts at 0.0 and runs over ascending indices,
+the order of `kleisli_apply` and `vec_mat`, so the kernel agrees with
+those primitives bit for bit.
+
 Updates subtract the gradient only at mutable positions; frozen entries
 are returned untouched, bit for bit, so arithmetic cannot perturb them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable
 
-from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply, outer, vec_mat, weights_part
+from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply
 from .activation import act_deriv_map
-from .network import Layer, Network, layer_forward
+from .network import Layer, Network, forward_cached
 
 if TYPE_CHECKING:
     from .loss import LossPredicate
@@ -46,10 +56,28 @@ def _check_layer_input(layer: Layer, a: Vec) -> None:
         raise ShapeError(f"layer expects {layer.in_dim} inputs, got {len(a)}")
 
 
+def _check_layer_erosion(layer: Layer, e_out: Vec) -> None:
+    if len(e_out) != layer.out_dim:
+        raise ShapeError(f"erosion has length {len(e_out)}, layer emits {layer.out_dim}")
+
+
 def _erosion_vector_generic(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     """Error signal via the activation derivative at the pre-activation."""
     z = kleisli_apply(layer.transition, a)
     return hadamard(e_out, act_deriv_map(layer.activation, z))
+
+
+def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
+    if layer.activation.tag == "sigmoid":
+        # the slope y * (1 - y) comes from the cached output
+        return tuple((e * v) * (1.0 - v) for e, v in zip(e_out, y))
+    return tuple(e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z)))
+
+
+def _update_row(row: Vec, grad_row: Vec, layer: Layer, j: int) -> list[float]:
+    """Row j of the masked update; frozen entries are copied, not computed."""
+    mutable = layer.mask[j] + (layer.bias_mutable[j],)
+    return [w - g if m else w for w, g, m in zip(row, grad_row, mutable)]
 
 
 def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
@@ -61,12 +89,39 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     usual shortcut; both routes agree to well below 1e-12.
     """
     _check_layer_input(layer, a)
-    if len(e_out) != layer.out_dim:
-        raise ShapeError(f"erosion has length {len(e_out)}, layer emits {layer.out_dim}")
-    if layer.activation.tag == "sigmoid":
-        y = layer_forward(layer, a)
-        return hadamard(hadamard(e_out, y), tuple(1.0 - v for v in y))
-    return _erosion_vector_generic(layer, a, e_out)
+    _check_layer_erosion(layer, e_out)
+    z, y = forward_cached(layer, a)
+    return _error_signal(layer, z, y, e_out)
+
+
+def layer_pass(
+    layer: Layer, a: Vec, z: Vec, y: Vec, e_out: Vec
+) -> tuple[tuple[float, ...], tuple[float, ...], Vec]:
+    """The backward kernel of one layer at its cached forward states.
+
+    `a` is the layer input, `(z, y) = forward_cached(layer, a)` its
+    pre-activation and output, and `e_out` the output erosion at `y`.
+    Returns the gradient entries and the masked-update entries, both
+    row-major in the transition's shape, and the erosion at the input.
+    The entries are not yet a `Mat`, so a caller validates only what it
+    keeps.
+    """
+    _check_layer_erosion(layer, e_out)
+    s = _error_signal(layer, z, y, e_out)
+    t = layer.transition
+    cols = t.cols
+    a1 = a + (1.0,)
+    grad: list[float] = []
+    updated: list[float] = []
+    e_in = [0.0] * (cols - 1)
+    for j, sj in enumerate(s):
+        row = t.entries[j * cols : (j + 1) * cols]
+        g = [sj * ai for ai in a1]
+        grad += g
+        updated += _update_row(row, g, layer, j)
+        # zip stops before the bias column, which does not reach the input
+        e_in = [acc + sj * w for acc, w in zip(e_in, row)]
+    return tuple(grad), tuple(updated), tuple(e_in)
 
 
 def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
@@ -78,9 +133,10 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     _check_layer_input(layer, a)
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
-    e_out = loss.erosion(layer_forward(layer, a))
-    s = layer_erosion_vector(layer, a, e_out)
-    return Gradient(outer(s, a + (1.0,)))
+    z, y = forward_cached(layer, a)
+    grad, _, _ = layer_pass(layer, a, z, y, loss.erosion(y))
+    t = layer.transition
+    return Gradient(Mat(t.rows, t.cols, grad))
 
 
 def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
@@ -90,9 +146,8 @@ def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
     column does not depend on the input and drops out).
     """
     _check_layer_input(layer, x)
-    e_out = erosion(layer_forward(layer, x))
-    s = layer_erosion_vector(layer, x, e_out)
-    return vec_mat(s, weights_part(layer.transition))
+    z, y = forward_cached(layer, x)
+    return layer_pass(layer, x, z, y, erosion(y))[2]
 
 
 def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:
@@ -122,16 +177,9 @@ def masked_update(layer: Layer, g: Gradient) -> Layer:
         raise ShapeError(
             f"gradient is {m.rows}x{m.cols}, transition is {t.rows}x{t.cols}"
         )
-    n = layer.in_dim
-    new_entries = []
+    cols = t.cols
+    new_entries: list[float] = []
     for j in range(t.rows):
-        base = j * t.cols
-        row_mask = layer.mask[j]
-        for i in range(n):
-            old = t.entries[base + i]
-            new_entries.append(old - m.entries[base + i] if row_mask[i] else old)
-        old_bias = t.entries[base + n]
-        new_entries.append(
-            old_bias - m.entries[base + n] if layer.bias_mutable[j] else old_bias
-        )
-    return replace(layer, transition=Mat(t.rows, t.cols, tuple(new_entries)))
+        lo, hi = j * cols, (j + 1) * cols
+        new_entries += _update_row(t.entries[lo:hi], m.entries[lo:hi], layer, j)
+    return layer._with_transition(Mat(t.rows, cols, tuple(new_entries)))

@@ -51,6 +51,17 @@ def _require(condition: bool, message: str) -> None:
         raise FileFormatError(message)
 
 
+def _finite_number(value: object) -> bool:
+    """A JSON number with a finite float value; an integer literal too big
+    for a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def network_from_json(doc: object) -> Network:
     _require(isinstance(doc, dict), "top level must be a JSON object")
     assert isinstance(doc, dict)
@@ -92,12 +103,7 @@ def network_from_json(doc: object) -> Network:
                 f"{where}: expects {n} inputs but previous stage provides {prev_dim}"
             )
         for value in bias + [v for row in weights for v in row]:
-            _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value),
-                f"{where}: entries must be finite numbers",
-            )
+            _require(_finite_number(value), f"{where}: entries must be finite numbers")
         tag = entry.get("activation")
         _require(isinstance(tag, str), f'{where}: missing "activation" tag')
         try:
@@ -144,7 +150,9 @@ def network_from_json(doc: object) -> Network:
 def parse_network(text: str) -> Network:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError covers deep nesting
         raise FileFormatError(f"not valid JSON: {exc}") from None
     return network_from_json(doc)
 

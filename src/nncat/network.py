@@ -60,6 +60,28 @@ class Layer:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "bias_mutable", bias_mutable)
 
+    def _with_transition(self, transition: Mat) -> "Layer":
+        """This layer with a same-shape transition, for the engine's own
+        rebuilds (updates, oracle perturbations).
+
+        The mask and bias flags were normalised and checked when this
+        layer was built and do not change, so they are reused as they are
+        instead of going through __post_init__ again.  The new matrix has
+        validated its own entries.
+        """
+        old = self.transition
+        if (transition.rows, transition.cols) != (old.rows, old.cols):
+            raise ShapeError(
+                f"new transition is {transition.rows}x{transition.cols}, "
+                f"layer needs {old.rows}x{old.cols}"
+            )
+        layer = object.__new__(Layer)
+        object.__setattr__(layer, "transition", transition)
+        object.__setattr__(layer, "activation", self.activation)
+        object.__setattr__(layer, "mask", self.mask)
+        object.__setattr__(layer, "bias_mutable", self.bias_mutable)
+        return layer
+
     @property
     def in_dim(self) -> int:
         return self.transition.cols - 1
@@ -138,9 +160,16 @@ def identity_net(n: int) -> Network:
     return Network((), n, n)
 
 
+def forward_cached(layer: Layer, x: Vec) -> tuple[Vec, Vec]:
+    """One forward step, keeping the pre-activation: (z, activation(z))
+    with z the affine transition of x."""
+    z = kleisli_apply(layer.transition, x)
+    return z, act_map(layer.activation, z)
+
+
 def layer_forward(layer: Layer, x: Vec) -> Vec:
     """One forward step: activation applied to the affine transition."""
-    return act_map(layer.activation, kleisli_apply(layer.transition, x))
+    return forward_cached(layer, x)[1]
 
 
 def net_forward(net: Network, x: Vec) -> Vec:

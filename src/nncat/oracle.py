@@ -10,7 +10,7 @@ round-off in 64-bit floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import Mat, Vec
 from .backward import Gradient
@@ -45,7 +45,7 @@ def fd_layer_gradient(
     t = layer.transition
 
     def value_at(perturbed) -> float:
-        return validity(layer_forward(replace(layer, transition=perturbed), a), loss)
+        return validity(layer_forward(layer._with_transition(perturbed), a), loss)
 
     entries = []
     for j in range(t.rows):

@@ -57,6 +57,8 @@ class TestMat:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             Mat(1, 1, (float("nan"),))
+        with pytest.raises(DomainError, match="not finite: -inf"):
+            Mat(1, 3, (1.0, float("-inf"), float("nan")))
 
     def test_degenerate_shapes(self):
         assert Mat.from_rows([], cols=3).rows == 0

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from nncat.algebra import ShapeError, hadamard, kleisli_apply, vec_mat, weights_part
-from nncat.activation import act_deriv_map
+from nncat.algebra import DomainError, ShapeError, hadamard, kleisli_apply, outer, vec_mat, weights_part
+from nncat.activation import IDENTITY, act_deriv_map
 from nncat.backprop import SgdConfig, backprop_step, functoriality_check, train
 from nncat.backward import layer_gradient, masked_update
 from nncat.loss import squared_error, transform_loss, validity
-from nncat.network import Network, compose, identity_net, net_forward
+from nncat.network import Network, compose, identity_net, make_layer, net_forward
 from nncat.randnet import random_network, random_state
 
 from helpers import (
@@ -16,6 +16,7 @@ from helpers import (
     INPUT,
     TARGET,
     TOL8,
+    all_activations,
     mazur_loss,
     mazur_network,
     max_entry_dev,
@@ -61,15 +62,28 @@ class TestBackpropStep:
         with pytest.raises(ShapeError):
             backprop_step(mazur_network(), INPUT, squared_error((0.1,), 0.5))
 
+    def test_non_finite_gradient_raises(self):
+        # the erosion overflows to inf, so the gradient matrix cannot be built
+        net = Network.chain([make_layer(((1.0,),), (0.0,), IDENTITY)])
+        with pytest.raises(DomainError, match="matrix entry is not finite: inf"):
+            backprop_step(net, (1e200,), squared_error((0.0,), 1e200))
+
 
 class TestTraceInvariants:
     def test_states_and_erosions_recursion(self):
+        # the fused step must equal the primitives it replaces, bitwise
         rng = random.Random(2121)
-        for _ in range(15):
-            net = random_network(rng, rng.randint(1, 4), rng.randint(1, 4))
+        nets = [
+            random_network(
+                rng, rng.randint(1, 4), rng.randint(1, 4),
+                activations=all_activations(), mask_density=0.5,
+            )
+            for _ in range(15)
+        ] + [identity_net(3)]
+        for net in nets:
             a = random_state(rng, net.in_dim)
             loss = random_loss(rng, net.out_dim)
-            _, trace = backprop_step(net, a, loss)
+            stepped, trace = backprop_step(net, a, loss)
 
             m = len(net.layers)
             assert len(trace.states) == m + 1
@@ -94,6 +108,9 @@ class TestTraceInvariants:
                         trace.erosions[i + 1], act_deriv_map(layer.activation, z)
                     )
                 assert trace.erosions[i] == vec_mat(s, weights_part(layer.transition))
+                gradient = trace.gradients[i]
+                assert gradient.matrix.entries == outer(s, trace.states[i] + (1.0,)).entries
+                assert stepped.layers[i] == masked_update(layer, gradient)
 
     def test_gradients_match_suffix_loss_definition(self):
         rng = random.Random(2222)

@@ -3,9 +3,10 @@ import json
 import pytest
 
 import nncat.demo
+from nncat.activation import IDENTITY
 from nncat.cli import main
 from nncat.fileio import parse_network, read_network, serialize_network, write_network
-from nncat.network import identity_net
+from nncat.network import Network, identity_net, make_layer
 
 from helpers import (
     GOLD_UPDATED_FIRST,
@@ -55,6 +56,23 @@ class TestForward:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert run(["forward", "--net", str(bad), "--input", "1,2"]) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"in_dim": 1, "layers": [{"weights": [[1' + "0" * 400 + ']], '
+            '"bias": [0.0], "activation": "identity"}]}',
+            '{"in_dim": 1, "layers": [{"weights": [[1' + "0" * 5000 + ']], '
+            '"bias": [0.0], "activation": "identity"}]}',
+            "[" * 100_000,
+        ],
+        ids=["integer-too-big-for-float", "integer-over-digit-limit", "nested-too-deep"],
+    )
+    def test_unrepresentable_network_is_parse_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["forward", "--net", str(bad), "--input=0.5"]) == 2
         assert "bad.json" in capsys.readouterr().err
 
     def test_missing_network_file(self, tmp_path, capsys):
@@ -146,6 +164,19 @@ class TestTrain:
              "--trace", str(tmp_path / "t.csv")]
         ) == 2
         assert "4 values" in capsys.readouterr().err
+
+    def test_diverging_step_fails_without_output(self, tmp_path, capsys):
+        net = tmp_path / "id.json"
+        write_network(net, Network.chain([make_layer(((1.0,),), (0.0,), IDENTITY)]))
+        data = tmp_path / "rows.csv"
+        data.write_text("1e200,0\n")
+        out = tmp_path / "o.json"
+        assert run(
+            ["train", "--net", str(net), "--data", str(data), "--eta", "1e200",
+             "--epochs", "1", "--out", str(out), "--trace", str(tmp_path / "t.csv")]
+        ) == 2
+        assert "matrix entry is not finite: inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheck:

@@ -59,6 +59,20 @@ class TestLayerConstruction:
         layer = make_layer([(), ()], (0.5, -0.5), IDENTITY)
         assert (layer.in_dim, layer.out_dim) == (0, 2)
 
+    def test_rebuild_with_transition(self):
+        layer = make_layer(
+            FIRST_WEIGHTS, FIRST_BIAS, SIGMOID,
+            mask=((True, False), (False, True)), bias_mutable=(False, True),
+        )
+        t = Mat.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+        rebuilt = layer._with_transition(t)
+        assert rebuilt == Layer(t, SIGMOID, layer.mask, layer.bias_mutable)
+        assert rebuilt.mask is layer.mask
+        with pytest.raises(ShapeError, match="new transition is 2x2"):
+            layer._with_transition(Mat.zeros(2, 2))
+        with pytest.raises(ShapeError, match="new transition is 3x3"):
+            layer._with_transition(Mat.zeros(3, 3))
+
 
 class TestNetworkConstruction:
     def test_chain_reads_end_dims(self):

@@ -42,8 +42,6 @@ from .backward import (
 )
 from .loss import (
     LossPredicate,
-    SquaredErrorForm,
-    TransformedForm,
     squared_error,
     transform_loss,
     validity,
@@ -76,9 +74,7 @@ __all__ = [
     "SOFTPLUS",
     "SgdConfig",
     "ShapeError",
-    "SquaredErrorForm",
     "TANH",
-    "TransformedForm",
     "Vec",
     "act_deriv",
     "act_deriv_map",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 Vec = tuple[float, ...]
 
@@ -84,12 +84,6 @@ class Mat:
     def to_rows(self) -> tuple[Vec, ...]:
         return tuple(self.row(j) for j in range(self.rows))
 
-    def with_entry(self, j: int, i: int, value: float) -> "Mat":
-        """Copy with one entry replaced."""
-        self[j, i]  # bounds check
-        k = j * self.cols + i
-        return Mat(self.rows, self.cols, self.entries[:k] + (value,) + self.entries[k + 1 :])
-
 
 def kleisli_apply(t: Mat, x: Vec) -> Vec:
     """Affine action of a (weights | bias) matrix on a state.
@@ -103,25 +97,21 @@ def kleisli_apply(t: Mat, x: Vec) -> Vec:
         raise ShapeError(
             f"matrix is {t.rows}x{t.cols} but input of length {n} needs {n + 1} columns"
         )
+    cols = t.cols
     out = []
     for j in range(t.rows):
-        base = j * t.cols
+        row = t.entries[j * cols : (j + 1) * cols]
         acc = 0.0
-        for i in range(n):
-            acc += t.entries[base + i] * x[i]
-        acc += t.entries[base + n]
+        # zip stops before the bias column
+        for w, xi in zip(row, x):
+            acc += w * xi
+        acc += row[n]
         out.append(acc)
     return tuple(out)
 
 
-def hadamard(u: Union[Vec, Mat], v: Union[Vec, Mat]) -> Union[Vec, Mat]:
-    """Elementwise product of two equal-shape vectors or matrices."""
-    if isinstance(u, Mat) and isinstance(v, Mat):
-        if (u.rows, u.cols) != (v.rows, v.cols):
-            raise ShapeError(f"{u.rows}x{u.cols} vs {v.rows}x{v.cols}")
-        return Mat(u.rows, u.cols, tuple(a * b for a, b in zip(u.entries, v.entries)))
-    if isinstance(u, Mat) or isinstance(v, Mat):
-        raise ShapeError("cannot mix vector and matrix operands")
+def hadamard(u: Vec, v: Vec) -> Vec:
+    """Elementwise product of two equal-length vectors."""
     if len(u) != len(v):
         raise ShapeError(f"vector lengths differ: {len(u)} vs {len(v)}")
     return tuple(a * b for a, b in zip(u, v))

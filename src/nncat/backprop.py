@@ -1,20 +1,19 @@
 """One backward-propagation training step over a whole network, and a
 deterministic single-example SGD loop on top of it.
 
-The step is two sweeps.  The forward sweep runs each layer once and
-caches its pre-activation and output.  The backward sweep runs the
-per-layer kernel `layer_pass` from the last layer to the first: from the
-cached states and the erosion at a layer's output it builds the layer's
-gradient, its masked update and the erosion one stage earlier, without
-running the forward pass again.  All gradients are taken against the
-original weights, so the updated network is a function of (network,
-input, loss) alone.  That discipline is what makes the step compose:
-stepping a concatenated network equals concatenating the steps of its
-parts against the appropriately pulled-back losses.
+The step is the backward module's one sweep, `sweep`: a forward pass
+that caches each layer's pre-activation and output, then a backward pass
+from the last layer to the first that builds each layer's gradient, its
+masked update and the erosion one stage earlier, without running the
+forward pass again.  All gradients are taken against the original
+weights, so the updated network is a function of (network, input, loss)
+alone.  That discipline is what makes the step compose: stepping a
+concatenated network equals concatenating the steps of its parts
+against the appropriately pulled-back losses.
 
 Each gradient and each updated matrix is validated once, as a new
-`Mat`; updated layers reuse the mask and bias flags checked when the
-layer was built.
+`Mat`, from the last layer to the first; updated layers reuse the mask
+and bias flags checked when the layer was built.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Mat, ShapeError, Vec
-from .backward import Gradient, layer_pass
+from .backward import Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
-from .network import Network, compose, forward_cached, net_forward
+from .network import Layer, Network, compose, net_forward
 
 
 @dataclass(frozen=True)
@@ -56,41 +55,23 @@ def backprop_step(
 ) -> tuple[Network, BackpropTrace]:
     """Apply one gradient update to every layer of the network.
 
-    Forward sweep caches pre-activations and states; backward sweep runs
-    each layer's kernel against the pre-update weights, recording its
-    gradient and update and pushing the erosion one stage back.
+    One sweep gives every layer's gradient and update against the
+    pre-update weights; here they become validated matrices.
     """
-    if len(a) != net.in_dim:
-        raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
     if loss.dim != net.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
+    states, erosions, entries = sweep(net, a, loss.erosion)
 
-    states = [a]
-    pre_activations = []
-    for layer in net.layers:
-        z, y = forward_cached(layer, states[-1])
-        pre_activations.append(z)
-        states.append(y)
-
-    e = loss.erosion(states[-1])
-    erosions = [e]
-    grads_rev: list[Gradient] = []
-    updated_rev = []
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
+    def build(layer: Layer, grad: Vec, new: Vec) -> tuple[Gradient, Layer]:
         t = layer.transition
-        grad, new, e = layer_pass(
-            layer, states[idx], pre_activations[idx], states[idx + 1], e
-        )
-        grads_rev.append(Gradient(Mat(t.rows, t.cols, grad)))
-        updated_rev.append(layer._with_transition(Mat(t.rows, t.cols, new)))
-        erosions.append(e)
+        gradient = Gradient(Mat(t.rows, t.cols, grad))
+        return gradient, layer._with_transition(Mat(t.rows, t.cols, new))
 
-    trace = BackpropTrace(
-        tuple(states), tuple(reversed(erosions)), tuple(reversed(grads_rev))
-    )
-    new_net = Network(tuple(reversed(updated_rev)), net.in_dim, net.out_dim)
-    return new_net, trace
+    # validated last layer first, the order in which the sweep built them
+    built = [build(layer, *e) for layer, e in zip(reversed(net.layers), reversed(entries))]
+    built.reverse()
+    trace = BackpropTrace(states, erosions, tuple(g for g, _ in built))
+    return Network(tuple(layer for _, layer in built), net.in_dim, net.out_dim), trace
 
 
 def functoriality_check(

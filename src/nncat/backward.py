@@ -1,4 +1,4 @@
-"""Backward-pass primitives: the per-layer backward kernel, erosion
+"""Backward-pass primitives: the one backward sweep, erosion
 transformation, layer gradients, masked updates.
 
 The central quantity is the per-layer error signal: the output erosion
@@ -9,15 +9,17 @@ one by construction.  Pushing the signal through the layer's weight
 columns turns an output erosion into an input erosion, which is what a
 multi-layer backward sweep iterates.
 
-Every route runs on cached forward states.  `forward_cached` gives a
-layer's pre-activation z and output y once; `layer_pass` reads the
-signal off them and then, in one row-major pass over the transition
-matrix, builds each output node's gradient row, its masked-update row
-and its share of the input erosion, reading the weights in place.
-`backprop_step`, `layer_gradient` and `erosion_transform_layer` all go
-through it.  Each sum starts at 0.0 and runs over ascending indices,
-the order of `kleisli_apply` and `vec_mat`, so the kernel agrees with
-those primitives bit for bit.
+Every backward question is answered by one function, `sweep`.  It runs
+the forward pass once, caching each layer's pre-activation z and output
+y, then walks the layers from last to first with the per-layer kernel
+`layer_pass`.  The kernel reads the signal off the cached states and, in
+one row-major pass over the transition matrix, builds each output
+node's gradient row, its masked-update row and its share of the input
+erosion, reading the weights in place.  `backprop_step` keeps all three;
+`erosion_transform_net` keeps the erosion at the input; a single layer
+is the sweep over `Network.chain([layer])`.  Each sum starts at 0.0 and
+runs over ascending indices, the order of `kleisli_apply` and `vec_mat`,
+so the kernel agrees with those primitives bit for bit.
 
 Updates subtract the gradient only at mutable positions; frozen entries
 are returned untouched, bit for bit, so arithmetic cannot perturb them.
@@ -26,7 +28,6 @@ are returned untouched, bit for bit, so arithmetic cannot perturb them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply
@@ -124,6 +125,38 @@ def layer_pass(
     return tuple(grad), tuple(updated), tuple(e_in)
 
 
+def sweep(
+    net: Network, a: Vec, erosion: ErosionFn
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[tuple[Vec, Vec], ...]]:
+    """The forward and backward sweep of `net` at input `a`.
+
+    `erosion` is the output loss's erosion.  Returns the states
+    a_0..a_m, the erosions e_0..e_m (e_m at the output, e_0 at the
+    input) and, per layer, the `(gradient, masked-update)` entries of
+    `layer_pass`, all against the original weights.  Each loop runs over
+    the layers, so depth costs no stack.
+    """
+    if len(a) != net.in_dim:
+        raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
+    states = [a]
+    pre_activations = []
+    for layer in net.layers:
+        z, y = forward_cached(layer, states[-1])
+        pre_activations.append(z)
+        states.append(y)
+
+    e = erosion(states[-1])
+    erosions = [e]
+    entries = []
+    for idx in range(len(net.layers) - 1, -1, -1):
+        grad, updated, e = layer_pass(
+            net.layers[idx], states[idx], pre_activations[idx], states[idx + 1], e
+        )
+        entries.append((grad, updated))
+        erosions.append(e)
+    return tuple(states), tuple(reversed(erosions)), tuple(reversed(entries))
+
+
 def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     """Gradient of (loss after this layer) in the transition matrix.
 
@@ -133,8 +166,7 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     _check_layer_input(layer, a)
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
-    z, y = forward_cached(layer, a)
-    grad, _, _ = layer_pass(layer, a, z, y, loss.erosion(y))
+    grad, _ = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
     t = layer.transition
     return Gradient(Mat(t.rows, t.cols, grad))
 
@@ -146,23 +178,17 @@ def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
     column does not depend on the input and drops out).
     """
     _check_layer_input(layer, x)
-    z, y = forward_cached(layer, x)
-    return layer_pass(layer, x, z, y, erosion(y))[2]
+    return sweep(Network.chain([layer]), x, erosion)[1][0]
 
 
 def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:
     """Erosion transformation through a whole network, output to input.
 
-    Folds erosion_transform_layer from the last layer to the first; the
-    empty network applies the erosion directly.  Forward states are
-    recomputed from x, so the result is a pure function of (net, x).
+    The erosion at the input of the backward sweep; the empty network
+    applies the erosion directly.  Forward states are recomputed from x,
+    so the result is a pure function of (net, x).
     """
-    if len(x) != net.in_dim:
-        raise ShapeError(f"network expects {net.in_dim} inputs, got {len(x)}")
-    fn = erosion
-    for layer in reversed(net.layers):
-        fn = partial(erosion_transform_layer, layer, fn)
-    return fn(x)
+    return sweep(net, x, erosion)[1][0]
 
 
 def masked_update(layer: Layer, g: Gradient) -> Layer:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .algebra import DomainError, ShapeError, Vec, vec
 from .backward import erosion_transform_net
@@ -24,37 +24,16 @@ from .network import Network, net_forward
 
 
 @dataclass(frozen=True)
-class SquaredErrorForm:
-    """Structural tag: scaled squared distance to a fixed target."""
-
-    target: Vec
-    rate: float
-
-
-@dataclass(frozen=True)
-class TransformedForm:
-    """Structural tag: a base loss pulled back through a network."""
-
-    network: Network
-    base: "LossPredicate"
-
-
-Descriptor = Union[SquaredErrorForm, TransformedForm, None]
-
-
-@dataclass(frozen=True)
 class LossPredicate:
     """Real-valued predicate on k-states plus its gradient (erosion).
 
     The erosion must be the exact gradient of `evaluate`; the test suite
-    holds every constructible predicate to finite differences.  A None
-    descriptor marks an opaque, test-only loss.
+    holds every constructible predicate to finite differences.
     """
 
     dim: int
     evaluate: Callable[[Vec], float] = field(compare=False)
     erosion: Callable[[Vec], Vec] = field(compare=False)
-    descriptor: Descriptor = None
 
 
 def squared_error(target: Sequence[float], rate: float) -> LossPredicate:
@@ -79,7 +58,7 @@ def squared_error(target: Sequence[float], rate: float) -> LossPredicate:
             raise ShapeError(f"loss expects {k} values, got {len(y)}")
         return tuple(rate * (yi - ti) for yi, ti in zip(y, t))
 
-    return LossPredicate(k, evaluate, erosion, SquaredErrorForm(t, rate))
+    return LossPredicate(k, evaluate, erosion)
 
 
 def validity(x: Vec, loss: LossPredicate) -> float:
@@ -107,7 +86,7 @@ def transform_loss(net: Network, loss: LossPredicate) -> LossPredicate:
     def erosion(x: Vec) -> Vec:
         return erosion_transform_net(net, loss.erosion, x)
 
-    return LossPredicate(net.in_dim, evaluate, erosion, TransformedForm(net, loss))
+    return LossPredicate(net.in_dim, evaluate, erosion)
 
 
 def validity_equation_check(

@@ -44,16 +44,20 @@ def fd_layer_gradient(
     cfg = cfg or FdConfig()
     t = layer.transition
 
-    def value_at(perturbed) -> float:
-        return validity(layer_forward(layer._with_transition(perturbed), a), loss)
+    def value_at(perturbed: list[float]) -> float:
+        # a new, validated matrix for every evaluation
+        transition = Mat(t.rows, t.cols, tuple(perturbed))
+        return validity(layer_forward(layer._with_transition(transition), a), loss)
 
+    perturbed = list(t.entries)
     entries = []
-    for j in range(t.rows):
-        for i in range(t.cols):
-            v = t[j, i]
-            up = value_at(t.with_entry(j, i, v + cfg.eps))
-            down = value_at(t.with_entry(j, i, v - cfg.eps))
-            entries.append((up - down) / (2.0 * cfg.eps))
+    for k, v in enumerate(t.entries):
+        perturbed[k] = v + cfg.eps
+        up = value_at(perturbed)
+        perturbed[k] = v - cfg.eps
+        down = value_at(perturbed)
+        perturbed[k] = v
+        entries.append((up - down) / (2.0 * cfg.eps))
     return Gradient(Mat(t.rows, t.cols, tuple(entries)))
 
 

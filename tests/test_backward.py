@@ -4,6 +4,7 @@ import pytest
 
 from nncat.activation import IDENTITY, SIGMOID
 from nncat.algebra import Mat, ShapeError
+from nncat.backprop import backprop_step
 from nncat.backward import (
     Gradient,
     _erosion_vector_generic,
@@ -211,6 +212,15 @@ class TestErosionTransformNet:
             through = transform_loss(net, loss)
             x = random_state(rng, net.in_dim)
             assert through.erosion(x) == erosion_transform_net(net, loss.erosion, x)
+
+    def test_deep_network_needs_no_recursion(self):
+        # deeper than the interpreter's default recursion limit of 1000
+        layer = make_layer(((1.0,),), (0.0,), IDENTITY)
+        net = Network.chain([layer] * 1200)
+        loss = squared_error((0.25,), 0.5)
+        x = (0.75,)
+        _, trace = backprop_step(net, x, loss)
+        assert transform_loss(net, loss).erosion(x) == trace.erosions[0] == (0.25,)
 
 
 class TestMaskedUpdate:

@@ -5,8 +5,6 @@ import pytest
 from nncat.algebra import DomainError, ShapeError
 from nncat.loss import (
     LossPredicate,
-    SquaredErrorForm,
-    TransformedForm,
     squared_error,
     transform_loss,
     validity,
@@ -36,10 +34,6 @@ class TestSquaredError:
     def test_zero_rate_collapses(self):
         loss = squared_error((1.0, 2.0), 0.0)
         assert validity((55.0, -3.0), loss) == 0.0
-
-    def test_descriptor(self):
-        loss = squared_error((0.1,), 0.5)
-        assert loss.descriptor == SquaredErrorForm((0.1,), 0.5)
 
     def test_erosion_formula(self):
         loss = squared_error((1.0, -1.0), 2.0)
@@ -76,8 +70,6 @@ class TestTransformLoss:
     def test_descriptor_records_structure(self):
         net = mazur_network()
         through = transform_loss(net, mazur_loss())
-        assert isinstance(through.descriptor, TransformedForm)
-        assert through.descriptor.network == net
         assert through.dim == net.in_dim
 
     def test_dimension_mismatch(self):
@@ -152,7 +144,6 @@ class TestValidityEquation:
 class TestOpaqueLoss:
     def test_direct_construction(self):
         loss = LossPredicate(2, lambda y: y[0] * y[1], lambda y: (y[1], y[0]))
-        assert loss.descriptor is None
         assert validity((3.0, 4.0), loss) == 12.0
         lhs, rhs = validity_equation_check(mazur_network(), (0.05, 0.1), loss)
         assert lhs == rhs

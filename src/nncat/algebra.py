@@ -119,7 +119,7 @@ def hadamard(u: Vec, v: Vec) -> Vec:
 
 def outer(s: Vec, w: Vec) -> Mat:
     """Outer product: result[j,i] = s_j * w_i."""
-    return Mat(len(s), len(w), tuple(sj * wi for sj in s for wi in w))
+    return Mat(len(s), len(w), tuple([sj * wi for sj in s for wi in w]))
 
 
 def weights_part(t: Mat) -> Mat:

@@ -3,9 +3,10 @@ deterministic single-example SGD loop on top of it.
 
 The step is the backward module's one sweep, `sweep`: a forward pass
 that caches each layer's pre-activation and output, then a backward pass
-from the last layer to the first that builds each layer's gradient, its
-masked update and the erosion one stage earlier, without running the
-forward pass again.  All gradients are taken against the original
+from the last layer to the first that yields each layer's error signal
+and the erosion one stage earlier.  The step does no arithmetic of its
+own: a layer's gradient is `outer(signal, input + (1,))` and its update
+is `masked_update`.  All gradients are taken against the original
 weights, so the updated network is a function of (network, input, loss)
 alone.  That discipline is what makes the step compose: stepping a
 concatenated network equals concatenating the steps of its parts
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Mat, ShapeError, Vec
-from .backward import Gradient, sweep
+from .algebra import DomainError, ShapeError, Vec, outer
+from .backward import Gradient, masked_update, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
 from .network import Layer, Network, compose, net_forward
 
@@ -55,23 +56,21 @@ def backprop_step(
 ) -> tuple[Network, BackpropTrace]:
     """Apply one gradient update to every layer of the network.
 
-    One sweep gives every layer's gradient and update against the
-    pre-update weights; here they become validated matrices.
+    One sweep gives every layer's error signal against the pre-update
+    weights; here each becomes a gradient and an updated layer.
     """
     if loss.dim != net.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
-    states, erosions, entries = sweep(net, a, loss.erosion)
-
-    def build(layer: Layer, grad: Vec, new: Vec) -> tuple[Gradient, Layer]:
-        t = layer.transition
-        gradient = Gradient(Mat(t.rows, t.cols, grad))
-        return gradient, layer._with_transition(Mat(t.rows, t.cols, new))
-
-    # validated last layer first, the order in which the sweep built them
-    built = [build(layer, *e) for layer, e in zip(reversed(net.layers), reversed(entries))]
-    built.reverse()
-    trace = BackpropTrace(states, erosions, tuple(g for g, _ in built))
-    return Network(tuple(layer for _, layer in built), net.in_dim, net.out_dim), trace
+    states, erosions, signals = sweep(net, a, loss.erosion)
+    gradients: list[Gradient] = []
+    layers: list[Layer] = []
+    # validated last layer first, the order in which the sweep found the signals
+    for idx in range(len(net.layers) - 1, -1, -1):
+        g = Gradient(outer(signals[idx], states[idx] + (1.0,)))
+        layers.append(masked_update(net.layers[idx], g))
+        gradients.append(g)
+    trace = BackpropTrace(states, erosions, tuple(reversed(gradients)))
+    return Network(tuple(reversed(layers)), net.in_dim, net.out_dim), trace
 
 
 def functoriality_check(
@@ -115,6 +114,8 @@ def train(
     Each row (input, target) builds a squared-error loss with the rate
     folded in; the loss of the current network on the row is recorded
     before its update applies.  Deterministic: fixed order, no shuffling.
+    A step that leaves the finite floats raises `DomainError` naming its
+    epoch and row, both counted from 1.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -128,9 +129,12 @@ def train(
             )
 
     losses: list[float] = []
-    for _ in range(cfg.epochs):
-        for x, t in dataset:
+    for epoch in range(1, cfg.epochs + 1):
+        for row, (x, t) in enumerate(dataset, 1):
             loss = squared_error(t, rate)
-            net, trace = backprop_step(net, x, loss)
+            try:
+                net, trace = backprop_step(net, x, loss)
+            except DomainError as exc:
+                raise DomainError(f"epoch {epoch}, row {row}: {exc}") from exc
             losses.append(validity(trace.states[-1], loss))
     return net, losses

@@ -11,15 +11,14 @@ multi-layer backward sweep iterates.
 
 Every backward question is answered by one function, `sweep`.  It runs
 the forward pass once, caching each layer's pre-activation z and output
-y, then walks the layers from last to first with the per-layer kernel
-`layer_pass`.  The kernel reads the signal off the cached states and, in
-one row-major pass over the transition matrix, builds each output
-node's gradient row, its masked-update row and its share of the input
-erosion, reading the weights in place.  `backprop_step` keeps all three;
-`erosion_transform_net` keeps the erosion at the input; a single layer
-is the sweep over `Network.chain([layer])`.  Each sum starts at 0.0 and
-runs over ascending indices, the order of `kleisli_apply` and `vec_mat`,
-so the kernel agrees with those primitives bit for bit.
+y, then walks the layers from last to first, reading each error signal
+off the cached states and pushing it back to the input erosion through
+the weight rows, read in place.  The sweep builds no gradient and no
+update: `backprop_step` makes them from its signals with `outer` and
+`masked_update`, `layer_gradient` is `outer` over the one-layer sweep's
+signal, and `erosion_transform_net` keeps the erosion at the input.
+Each sum starts at 0.0 and runs over ascending indices, the order of
+`kleisli_apply` and `vec_mat`, so the sweep agrees with them bit for bit.
 
 Updates subtract the gradient only at mutable positions; frozen entries
 are returned untouched, bit for bit, so arithmetic cannot perturb them.
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply
+from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply, outer
 from .activation import act_deriv_map
 from .network import Layer, Network, forward_cached
 
@@ -75,12 +74,6 @@ def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
     return tuple(e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z)))
 
 
-def _update_row(row: Vec, grad_row: Vec, layer: Layer, j: int) -> list[float]:
-    """Row j of the masked update; frozen entries are copied, not computed."""
-    mutable = layer.mask[j] + (layer.bias_mutable[j],)
-    return [w - g if m else w for w, g, m in zip(row, grad_row, mutable)]
-
-
 def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     """Per-output error signal for a layer at input `a`.
 
@@ -95,46 +88,28 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     return _error_signal(layer, z, y, e_out)
 
 
-def layer_pass(
-    layer: Layer, a: Vec, z: Vec, y: Vec, e_out: Vec
-) -> tuple[tuple[float, ...], tuple[float, ...], Vec]:
-    """The backward kernel of one layer at its cached forward states.
-
-    `a` is the layer input, `(z, y) = forward_cached(layer, a)` its
-    pre-activation and output, and `e_out` the output erosion at `y`.
-    Returns the gradient entries and the masked-update entries, both
-    row-major in the transition's shape, and the erosion at the input.
-    The entries are not yet a `Mat`, so a caller validates only what it
-    keeps.
-    """
-    _check_layer_erosion(layer, e_out)
-    s = _error_signal(layer, z, y, e_out)
-    t = layer.transition
+def _pushback(t: Mat, s: Vec) -> Vec:
+    """The input erosion: s times the weight columns of `t`, row by row."""
     cols = t.cols
-    a1 = a + (1.0,)
-    grad: list[float] = []
-    updated: list[float] = []
     e_in = [0.0] * (cols - 1)
     for j, sj in enumerate(s):
         row = t.entries[j * cols : (j + 1) * cols]
-        g = [sj * ai for ai in a1]
-        grad += g
-        updated += _update_row(row, g, layer, j)
         # zip stops before the bias column, which does not reach the input
         e_in = [acc + sj * w for acc, w in zip(e_in, row)]
-    return tuple(grad), tuple(updated), tuple(e_in)
+    return tuple(e_in)
 
 
 def sweep(
     net: Network, a: Vec, erosion: ErosionFn
-) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[tuple[Vec, Vec], ...]]:
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """The forward and backward sweep of `net` at input `a`.
 
     `erosion` is the output loss's erosion.  Returns the states
     a_0..a_m, the erosions e_0..e_m (e_m at the output, e_0 at the
-    input) and, per layer, the `(gradient, masked-update)` entries of
-    `layer_pass`, all against the original weights.  Each loop runs over
-    the layers, so depth costs no stack.
+    input) and the error signals s_1..s_m, one per layer, all against
+    the original weights.  Layer i's gradient is
+    `outer(s_i, a_(i-1) + (1.0,))`.  Each loop runs over the layers, so
+    depth costs no stack.
     """
     if len(a) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
@@ -147,14 +122,15 @@ def sweep(
 
     e = erosion(states[-1])
     erosions = [e]
-    entries = []
+    signals = []
     for idx in range(len(net.layers) - 1, -1, -1):
-        grad, updated, e = layer_pass(
-            net.layers[idx], states[idx], pre_activations[idx], states[idx + 1], e
-        )
-        entries.append((grad, updated))
+        layer = net.layers[idx]
+        _check_layer_erosion(layer, e)
+        s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
+        e = _pushback(layer.transition, s)
+        signals.append(s)
         erosions.append(e)
-    return tuple(states), tuple(reversed(erosions)), tuple(reversed(entries))
+    return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))
 
 
 def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
@@ -166,9 +142,8 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     _check_layer_input(layer, a)
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
-    grad, _ = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
-    t = layer.transition
-    return Gradient(Mat(t.rows, t.cols, grad))
+    s = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
+    return Gradient(outer(s, a + (1.0,)))
 
 
 def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
@@ -203,9 +178,8 @@ def masked_update(layer: Layer, g: Gradient) -> Layer:
         raise ShapeError(
             f"gradient is {m.rows}x{m.cols}, transition is {t.rows}x{t.cols}"
         )
-    cols = t.cols
     new_entries: list[float] = []
-    for j in range(t.rows):
-        lo, hi = j * cols, (j + 1) * cols
-        new_entries += _update_row(t.entries[lo:hi], m.entries[lo:hi], layer, j)
-    return layer._with_transition(Mat(t.rows, cols, tuple(new_entries)))
+    for j, (row_mask, bias_flag) in enumerate(zip(layer.mask, layer.bias_mutable)):
+        mutable = row_mask + (bias_flag,)
+        new_entries += [w - d if f else w for w, d, f in zip(t.row(j), m.row(j), mutable)]
+    return layer._with_transition(Mat(t.rows, t.cols, tuple(new_entries)))

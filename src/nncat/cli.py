@@ -11,7 +11,7 @@ import random
 import sys
 from typing import Sequence
 
-from .algebra import ShapeError
+from .algebra import DomainError, ShapeError
 from .backprop import SgdConfig, backprop_step, train
 from .demo import run_demo
 from .fileio import (
@@ -85,7 +85,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
         return _fail(f"--input: {exc}")
     try:
         y = net_forward(net, x)
-    except ShapeError as exc:
+    except (ShapeError, DomainError) as exc:
         return _fail(f"{args.net}: {exc}")
     print(",".join(f"{v:.8f}" for v in y))
     return 0
@@ -152,7 +152,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     all_ok = True
     for idx, layer in enumerate(net.layers):
         suffix = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
-        fd = fd_layer_gradient(layer, trace.states[idx], transform_loss(suffix, loss), cfg)
+        try:
+            fd = fd_layer_gradient(layer, trace.states[idx], transform_loss(suffix, loss), cfg)
+        except DomainError as exc:
+            return _fail(f"layer {idx}: finite differences at --eps {args.eps}: {exc}")
         analytic = trace.gradients[idx]
         deviation = max(
             (abs(a - b) for a, b in zip(analytic.matrix.entries, fd.matrix.entries)),

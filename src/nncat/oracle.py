@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Mat, Vec
+from .activation import act_map
+from .algebra import Mat, Vec, kleisli_apply
 from .backward import Gradient
 from .loss import LossPredicate, validity
 from .network import Layer, layer_forward
@@ -40,24 +41,33 @@ def fd_layer_gradient(
     layer: Layer, a: Vec, loss: LossPredicate, cfg: FdConfig | None = None
 ) -> Gradient:
     """Central-difference gradient of (loss after the layer) in every
-    transition entry, bias column included."""
+    transition entry, bias column included.
+
+    The layer runs once; a perturbation in row j moves only output j, so
+    each evaluation recomputes that output from a new, validated one-row
+    matrix and splices it into the cached outputs.
+    """
     cfg = cfg or FdConfig()
     t = layer.transition
+    cols = t.cols
+    cached = layer_forward(layer, a)
+    outputs = list(cached)
 
-    def value_at(perturbed: list[float]) -> float:
-        # a new, validated matrix for every evaluation
-        transition = Mat(t.rows, t.cols, tuple(perturbed))
-        return validity(layer_forward(layer._with_transition(transition), a), loss)
+    def value_at(j: int, row: list[float]) -> float:
+        outputs[j] = act_map(layer.activation, kleisli_apply(Mat(1, cols, tuple(row)), a))[0]
+        return validity(tuple(outputs), loss)
 
-    perturbed = list(t.entries)
     entries = []
-    for k, v in enumerate(t.entries):
-        perturbed[k] = v + cfg.eps
-        up = value_at(perturbed)
-        perturbed[k] = v - cfg.eps
-        down = value_at(perturbed)
-        perturbed[k] = v
-        entries.append((up - down) / (2.0 * cfg.eps))
+    for j, y in enumerate(cached):
+        row = list(t.row(j))
+        for i, v in enumerate(row):
+            row[i] = v + cfg.eps
+            up = value_at(j, row)
+            row[i] = v - cfg.eps
+            down = value_at(j, row)
+            row[i] = v
+            entries.append((up - down) / (2.0 * cfg.eps))
+        outputs[j] = y
     return Gradient(Mat(t.rows, t.cols, tuple(entries)))
 
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import nncat.demo
 from nncat.activation import IDENTITY
@@ -86,6 +91,14 @@ class TestForward:
 
     def test_missing_argument_is_usage_error(self):
         assert run(["forward", "--net", "whatever"]) == 2
+
+    def test_overflowing_forward_pass_is_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        write_network(path, Network.chain([make_layer(((1e300,),), (0.0,), IDENTITY)]))
+        assert run(["forward", "--net", str(path), "--input", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nncat: error: ")
+        assert "big.json: activation input is not finite: inf" in err
 
 
 class TestTrain:
@@ -175,7 +188,7 @@ class TestTrain:
             ["train", "--net", str(net), "--data", str(data), "--eta", "1e200",
              "--epochs", "1", "--out", str(out), "--trace", str(tmp_path / "t.csv")]
         ) == 2
-        assert "matrix entry is not finite: inf" in capsys.readouterr().err
+        assert "epoch 1, row 1: matrix entry is not finite: inf" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -230,6 +243,14 @@ class TestGradcheck:
     def test_net_and_seed_conflict(self, mazur_file):
         assert run(self.args(mazur_file, **{"--seed": "3"})) == 2
 
+    def test_overflowing_finite_difference_is_error(self, capsys):
+        argv = ["gradcheck", "--seed", "1", "--input", "1e10,1e10", "--target", "0.5",
+                "--eta", "0.1", "--eps", "1e300"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nncat: error: layer 0: ")
+        assert "not finite" in err
+
 
 class TestDemo:
     def test_all_values_match(self, capsys):
@@ -262,3 +283,64 @@ class TestSerializedBytes:
         doc = json.loads(text)
         assert doc["layers"][0]["weights"][0] == [0.15, 0.2]
         assert serialize_network(parse_network(text)) == text
+
+
+# finite floats, weighted towards magnitudes that overflow a sum or a product
+big_floats = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([1e308, -1e308, 1e300, -1e300, 1e154, -1e154, 5e-324, 0.0]),
+    st.floats(-1e308, 1e308),
+)
+
+
+@st.composite
+def network_cases(draw):
+    """A well-formed network document and finite --input, --target, --eta, --eps."""
+    widths = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    layers = []
+    for n, k in zip(widths, widths[1:]):
+        layers.append({
+            "weights": [draw(st.lists(big_floats, min_size=n, max_size=n)) for _ in range(k)],
+            "bias": draw(st.lists(big_floats, min_size=k, max_size=k)),
+            "activation": draw(st.sampled_from(["sigmoid", "tanh", "identity", "softplus"])),
+        })
+    x = draw(st.lists(big_floats, min_size=widths[0], max_size=widths[0]))
+    target = draw(st.lists(big_floats, min_size=widths[-1], max_size=widths[-1]))
+    doc = {"in_dim": widths[0], "layers": layers}
+    return doc, x, target, draw(big_floats), draw(big_floats)
+
+
+def literal(values):
+    return ",".join(repr(v) for v in values)
+
+
+class TestExitCodeContract:
+    """Any well-formed network and finite arguments end in exit 0, 1 or 2,
+    never in an exception."""
+
+    def run_quietly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return run(argv)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=network_cases())
+    @example(
+        case=(
+            {"in_dim": 1, "layers": [
+                {"weights": [[1e300]], "bias": [0.0], "activation": "identity"}]},
+            [1e300], [0.5], 0.1, 1e-6,
+        )
+    ).via("forward overflow")
+    def test_forward_and_gradcheck(self, case):
+        doc, x, target, eta, eps = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            path.write_text(json.dumps(doc))
+            code = self.run_quietly(["forward", "--net", str(path), f"--input={literal(x)}"])
+            assert code in (0, 1, 2)
+            code = self.run_quietly(
+                ["gradcheck", "--net", str(path), f"--input={literal(x)}",
+                 f"--target={literal(target)}", f"--eta={eta!r}", f"--eps={eps!r}"]
+            )
+            assert code in (0, 1, 2)

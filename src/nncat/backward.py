@@ -121,11 +121,14 @@ def sweep(
         states.append(y)
 
     e = erosion(states[-1])
+    # checked once: each pushed-back erosion has its layer's input length,
+    # which `Network` guarantees is the previous layer's output length
+    if len(e) != net.out_dim:
+        raise ShapeError(f"erosion has length {len(e)}, network emits {net.out_dim}")
     erosions = [e]
     signals = []
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        _check_layer_erosion(layer, e)
         s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
         e = _pushback(layer.transition, s)
         signals.append(s)

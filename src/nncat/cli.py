@@ -1,15 +1,17 @@
 """Command-line interface: forward, train, gradcheck, demo.
 
-Exit codes: 0 success, 1 a check failed, 2 usage or parse errors.
+Exit codes: 0 success, 1 a check failed, 2 usage or parse errors.  The
+commands raise; `main` alone turns an error into exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from .algebra import DomainError, ShapeError
 from .backprop import SgdConfig, backprop_step, train
@@ -30,88 +32,74 @@ from .randnet import random_network
 SEED_ENV_VAR = "NNCAT_SEED"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, bool]]:
+    """The parser, built once, and every option mapped to whether it takes a value."""
     parser = argparse.ArgumentParser(
         prog="nncat",
         description="Two-pass multilayer perceptron engine with gradient checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {"-h": False, "--help": False}
+
+    def add(group: Any, *names: str, **kwargs: Any) -> None:
+        action = group.add_argument(*names, **kwargs)
+        options.update(dict.fromkeys(action.option_strings, action.nargs is None))
 
     p_forward = sub.add_parser("forward", help="run a network on one input state")
-    p_forward.add_argument("--net", required=True, help="network JSON file")
-    p_forward.add_argument("--input", required=True, help='input state, e.g. "0.05,0.1"')
+    add(p_forward, "--net", required=True, help="network JSON file")
+    add(p_forward, "--input", required=True, help='input state, e.g. "0.05,0.1"')
+    p_forward.set_defaults(run=_cmd_forward)
 
     p_train = sub.add_parser("train", help="train on a CSV dataset, single-example SGD")
-    p_train.add_argument("--net", required=True, help="network JSON file")
-    p_train.add_argument("--data", required=True, help="CSV dataset: inputs then targets")
-    p_train.add_argument("--eta", required=True, type=float, help="learning rate, > 0")
-    p_train.add_argument("--epochs", required=True, type=int, help="epochs, >= 0")
-    p_train.add_argument("--out", required=True, help="where to write the trained network")
-    p_train.add_argument("--trace", required=True, help="where to write the loss trace CSV")
+    add(p_train, "--net", required=True, help="network JSON file")
+    add(p_train, "--data", required=True, help="CSV dataset: inputs then targets")
+    add(p_train, "--eta", required=True, type=float, help="learning rate, > 0")
+    add(p_train, "--epochs", required=True, type=int, help="epochs, >= 0")
+    add(p_train, "--out", required=True, help="where to write the trained network")
+    add(p_train, "--trace", required=True, help="where to write the loss trace CSV")
+    p_train.set_defaults(run=_cmd_train)
 
     p_check = sub.add_parser(
         "gradcheck", help="compare analytic gradients against finite differences"
     )
     source = p_check.add_mutually_exclusive_group()
-    source.add_argument("--net", help="network JSON file")
-    source.add_argument(
-        "--seed", type=int, help="generate a random 3-layer network instead of --net"
-    )
-    p_check.add_argument("--input", required=True, help="input state literal")
-    p_check.add_argument("--target", required=True, help="target state literal")
-    p_check.add_argument("--eta", required=True, type=float, help="learning rate, > 0")
-    p_check.add_argument("--eps", type=float, default=1e-6, help="fd step (default 1e-6)")
-    p_check.add_argument("--tol", type=float, default=1e-5, help="max deviation (default 1e-5)")
+    add(source, "--net", help="network JSON file")
+    add(source, "--seed", type=int, help="generate a random 3-layer network instead of --net")
+    add(p_check, "--input", required=True, help="input state literal")
+    add(p_check, "--target", required=True, help="target state literal")
+    add(p_check, "--eta", required=True, type=float, help="learning rate, > 0")
+    add(p_check, "--eps", type=float, default=1e-6, help="fd step (default 1e-6)")
+    add(p_check, "--tol", type=float, default=1e-5, help="max deviation (default 1e-5)")
+    p_check.set_defaults(run=_cmd_gradcheck)
 
     p_demo = sub.add_parser("demo", help="run a built-in worked example")
     p_demo.add_argument("example", choices=["mazur"], help="which example to run")
+    p_demo.set_defaults(run=lambda args: run_demo())
 
-    return parser
-
-
-def _fail(message: str) -> int:
-    print(f"nncat: error: {message}", file=sys.stderr)
-    return 2
+    return parser, options
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
-    try:
-        net = read_network(args.net)
-    except (FileFormatError, OSError) as exc:
-        return _fail(str(exc))
+    net = read_network(args.net)
     try:
         x = parse_vector(args.input)
     except FileFormatError as exc:
-        return _fail(f"--input: {exc}")
+        raise FileFormatError(f"--input: {exc}") from None
     try:
         y = net_forward(net, x)
     except (ShapeError, DomainError) as exc:
-        return _fail(f"{args.net}: {exc}")
+        raise ValueError(f"{args.net}: {exc}") from exc
     print(",".join(f"{v:.8f}" for v in y))
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if not args.eta > 0.0:
-        return _fail(f"--eta must be > 0, got {args.eta}")
-    if args.epochs < 0:
-        return _fail(f"--epochs must be >= 0, got {args.epochs}")
-    try:
-        net = read_network(args.net)
-        dataset = read_dataset(args.data, net.in_dim, net.out_dim)
-    except (FileFormatError, OSError) as exc:
-        return _fail(str(exc))
-    if not dataset:
-        return _fail(f"{args.data}: dataset is empty")
-    try:
-        trained, losses = train(net, dataset, args.eta, SgdConfig(args.epochs))
-    except (ShapeError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        write_network(args.out, trained)
-        write_trace(args.trace, losses)
-    except OSError as exc:
-        return _fail(str(exc))
+    net = read_network(args.net)
+    dataset = read_dataset(args.data, net.in_dim, net.out_dim)
+    trained, losses = train(net, dataset, args.eta, SgdConfig(args.epochs))
+    write_network(args.out, trained)
+    write_trace(args.trace, losses)
     print(f"trained {args.epochs} epoch(s) over {len(dataset)} row(s); "
           f"wrote {args.out} and {args.trace}")
     return 0
@@ -120,13 +108,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _gradcheck_network(args: argparse.Namespace, in_dim: int, out_dim: int) -> Network:
     if args.net is not None:
         return read_network(args.net)
-    seed = args.seed
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:  # env wins over --seed
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise FileFormatError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    env_seed = os.environ.get(SEED_ENV_VAR)  # wins over --seed
+    seed = args.seed if env_seed is None else int(env_seed)
     if seed is None:
         raise FileFormatError("gradcheck needs --net, or --seed / " + SEED_ENV_VAR)
     return random_network(random.Random(seed), in_dim, out_dim, depth=3)
@@ -134,33 +117,22 @@ def _gradcheck_network(args: argparse.Namespace, in_dim: int, out_dim: int) -> N
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if not args.eta > 0.0:
-        return _fail(f"--eta must be > 0, got {args.eta}")
-    try:
-        x = parse_vector(args.input)
-        target = parse_vector(args.target)
-        net = _gradcheck_network(args, len(x), len(target))
-    except (FileFormatError, OSError) as exc:
-        return _fail(str(exc))
-
+        raise ValueError(f"--eta must be > 0, got {args.eta}")
+    x = parse_vector(args.input)
+    target = parse_vector(args.target)
+    net = _gradcheck_network(args, len(x), len(target))
     loss = squared_error(target, args.eta)
-    try:
-        cfg = FdConfig(eps=args.eps)
-        _, trace = backprop_step(net, x, loss)
-    except (ShapeError, ValueError) as exc:
-        return _fail(str(exc))
-
+    cfg = FdConfig(eps=args.eps)
+    _, trace = backprop_step(net, x, loss)
     all_ok = True
     for idx, layer in enumerate(net.layers):
         suffix = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
         try:
             fd = fd_layer_gradient(layer, trace.states[idx], transform_loss(suffix, loss), cfg)
         except DomainError as exc:
-            return _fail(f"layer {idx}: finite differences at --eps {args.eps}: {exc}")
-        analytic = trace.gradients[idx]
-        deviation = max(
-            (abs(a - b) for a, b in zip(analytic.matrix.entries, fd.matrix.entries)),
-            default=0.0,
-        )
+            raise DomainError(f"layer {idx}: finite differences at --eps {args.eps}: {exc}") from exc
+        pairs = zip(trace.gradients[idx].matrix.entries, fd.matrix.entries)
+        deviation = max((abs(a - b) for a, b in pairs), default=0.0)
         ok = deviation <= args.tol
         all_ok &= ok
         print(
@@ -172,17 +144,30 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+def _glue_values(options: dict[str, bool], argv: Sequence[str]) -> list[str]:
+    """Write `--opt value` as `--opt=value` when `--opt` takes a value and `value`
+    names no nncat option, so that argparse reads "-0.2,0.4" or "-1e-6" as a value.
+    As in argparse, a unique prefix of an option names it."""
+    def names(token: str) -> list[str]:
+        return [token] if token in options else [o for o in options if o.startswith(token)]
+    out: list[str] = []
+    for token in argv:
+        named = names(out[-1]) if out else []
+        if len(named) == 1 and options[named[0]] and not names(token.split("=")[0]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "forward":
-        return _cmd_forward(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "gradcheck":
-        return _cmd_gradcheck(args)
-    if args.command == "demo":
-        return run_demo()
-    raise AssertionError(f"unhandled command {args.command!r}")
+    parser, options = _build_parser()
+    args = parser.parse_args(_glue_values(options, sys.argv[1:] if argv is None else argv))
+    try:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
+        print(f"nncat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_entry() -> None:

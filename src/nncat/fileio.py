@@ -5,13 +5,16 @@ activation tags need nesting; weights round-trip bitwise since JSON
 serialization uses shortest-round-trip decimal literals.  Datasets stay
 headerless CSV, n input columns then k target columns, with n and k
 supplied by the network in use.  Trace files are "step,loss" rows with
-the loss fixed at 8 decimals.
+the loss fixed at 8 decimals.  Files are read as UTF-8; written files
+appear whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -159,13 +162,42 @@ def parse_network(text: str) -> Network:
 
 def read_network(path: str | Path) -> Network:
     try:
-        return parse_network(Path(path).read_text())
-    except FileFormatError as exc:
+        return parse_network(Path(path).read_text(encoding="utf-8"))
+    except (FileFormatError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write a regular file by way of a new file beside it, renamed over it,
+    so a failed run never leaves a half-written file.  No fsync: the aim is
+    all-or-nothing, not durability.  A symlink's target is replaced, not the
+    link; a target that exists but is no regular file (/dev/null, a pipe, a
+    terminal) is written through, since nothing may be renamed over it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+        return
+    target = os.path.realpath(path)
+    # a str, not a Path: pathlib would intern each new random name, and the
+    # interpreter's table of interned strings does not shrink
+    name = f".{os.path.basename(target)}.{os.urandom(8).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(target), name)
+    try:
+        out = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with out:
+            out.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_network(path: str | Path, net: Network) -> None:
-    Path(path).write_text(serialize_network(net))
+    _write_atomic(path, serialize_network(net))
 
 
 def parse_vector(text: str) -> Vec:
@@ -187,7 +219,11 @@ def read_dataset(path: str | Path, in_dim: int, out_dim: int) -> list[tuple[Vec,
     """Parse CSV rows of in_dim inputs followed by out_dim targets."""
     rows: list[tuple[Vec, Vec]] = []
     width = in_dim + out_dim
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -206,4 +242,4 @@ def read_dataset(path: str | Path, in_dim: int, out_dim: int) -> list[tuple[Vec,
 def write_trace(path: str | Path, losses: Sequence[float]) -> None:
     """Rows "step,loss", step counting from 1, loss at 8 decimals."""
     lines = [f"{step},{value:.8f}" for step, value in enumerate(losses, start=1)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -177,6 +177,11 @@ class TestErosionTransformNet:
         x = (0.5, 0.5)
         assert erosion_transform_net(identity_net(2), erosion, x) == erosion(x)
 
+    @pytest.mark.parametrize("net", [identity_net(2), mazur_network()], ids=["empty", "mazur"])
+    def test_erosion_length_checked(self, net):
+        with pytest.raises(ShapeError, match="erosion has length 1, network emits 2"):
+            erosion_transform_net(net, lambda y: (1.0,), (0.0, 0.0))
+
     def test_single_layer_matches_layer_version(self):
         rng = random.Random(1616)
         for _ in range(10):

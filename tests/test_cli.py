@@ -251,6 +251,52 @@ class TestGradcheck:
         assert err.startswith("nncat: error: layer 0: ")
         assert "not finite" in err
 
+    def test_values_may_start_with_minus(self, capsys):
+        argv = ["gradcheck", "--seed", "42", "--input", "-0.2,0.4",
+                "--target", "0.3,0.6,0.1", "--eta", "0.25"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.count(" ok\n") == 3
+
+    def test_negative_eps_reaches_its_check(self, mazur_file, capsys):
+        assert run(self.args(mazur_file, **{"--eps": "-1e-6"})) == 2
+        assert "eps must be > 0, got -1e-06" in capsys.readouterr().err
+
+    def test_abbreviated_option_takes_minus_value(self, capsys):
+        tail = ["--target", "0.3,0.6,0.1", "--eta", "0.25"]
+        assert run(["gradcheck", "--seed", "42", "--input=-0.2,0.4", *tail]) == 0
+        spelled_out = capsys.readouterr().out
+        assert run(["gradcheck", "--se", "42", "--inp", "-0.2,0.4", *tail]) == 0
+        assert capsys.readouterr().out == spelled_out
+
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NNCAT_SEED", "forty-two")
+        argv = ["gradcheck", "--input", "0.1", "--target", "0.2", "--eta", "0.5"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nncat: error: ") and "'forty-two'" in err
+
+    def test_option_is_not_taken_for_a_value(self, mazur_file, capsys):
+        assert run(self.args(mazur_file, **{"--input": "--target"})) == 2
+        assert "--input: expected one argument" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["forward", "train", "gradcheck"])
+    def test_file_not_utf8_is_parse_error(self, mazur_file, tmp_path, capsys, command):
+        bad = tmp_path / "latin.bin"
+        bad.write_bytes(b"\xff0.5")
+        argv = {
+            "forward": ["forward", "--net", str(bad), "--input", "0.5"],
+            "train": ["train", "--net", mazur_file, "--data", str(bad), "--eta", "0.5",
+                      "--epochs", "1", "--out", str(tmp_path / "o.json"),
+                      "--trace", str(tmp_path / "t.csv")],
+            "gradcheck": ["gradcheck", "--net", str(bad), "--input", "0.5",
+                          "--target", "0.5", "--eta", "0.5"],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nncat: error: ") and "latin.bin" in err
+
 
 class TestDemo:
     def test_all_values_match(self, capsys):
@@ -344,3 +390,25 @@ class TestExitCodeContract:
                  f"--target={literal(target)}", f"--eta={eta!r}", f"--eps={eps!r}"]
             )
             assert code in (0, 1, 2)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        case=network_cases(),
+        rows=st.lists(st.lists(st.floats(-2.0, 2.0) | big_floats, min_size=6, max_size=6),
+                      min_size=1, max_size=3),
+        eta=st.floats(0.0, 1.0) | big_floats,
+        epochs=st.integers(0, 2),
+    )
+    def test_train(self, case, rows, eta, epochs):
+        doc = case[0]
+        width = doc["in_dim"] + len(doc["layers"][-1]["bias"])
+        with tempfile.TemporaryDirectory() as tmp:
+            net, data, out = Path(tmp) / "net.json", Path(tmp) / "rows.csv", Path(tmp) / "out.json"
+            net.write_text(json.dumps(doc))
+            data.write_text("".join(literal(row[:width]) + "\n" for row in rows))
+            code = self.run_quietly(
+                ["train", "--net", str(net), "--data", str(data), "--eta", repr(eta),
+                 "--epochs", str(epochs), "--out", str(out), "--trace", str(Path(tmp) / "t.csv")]
+            )
+            assert code in (0, 2)
+            assert out.exists() == (code == 0)

@@ -1,8 +1,15 @@
 import json
+import os
 import random
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nncat
 from nncat.fileio import (
     FileFormatError,
     parse_network,
@@ -17,6 +24,8 @@ from nncat.network import identity_net
 from nncat.randnet import random_network
 
 from helpers import mazur_network
+
+NETWORK_KEYS = ["in_dim", "layers", "weights", "bias", "mask", "bias_mutable", "activation"]
 
 
 class TestNetworkRoundTrip:
@@ -202,3 +211,162 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         write_trace(path, [])
         assert path.read_text() == ""
+
+
+class TestUtf8:
+    def test_network_file_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(FileFormatError, match="net.json: 'utf-8' codec can't decode"):
+            read_network(path)
+
+    def test_dataset_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"0.5,\xff\n")
+        with pytest.raises(FileFormatError, match="rows.csv: 'utf-8' codec can't decode"):
+            read_dataset(path, 1, 1)
+
+    def test_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes("0.5,\u00a00.25\n".encode("utf-8"))  # a no-break space
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(nncat.__file__).parents[1]),
+            "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+        }
+        script = "import sys; from nncat.fileio import read_dataset; print(read_dataset(sys.argv[1], 1, 1))"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (0, "[((0.5,), (0.25,))]\n"), done.stderr
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "write",
+        [lambda p: write_network(p, identity_net(1)), lambda p: write_trace(p, [0.5])],
+        ids=["network", "trace"],
+    )
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"old contents\n")
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write(path)
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="nowhere/trace.csv'$"):
+            write_trace(tmp_path / "nowhere" / "trace.csv", [0.5])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overwrites_whole_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("1,0.1\n2,0.2\n3,0.3\n")
+        write_trace(path, [0.25])
+        assert path.read_text() == "1,0.25000000\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_writes_through_a_fifo(self, tmp_path):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_trace(fifo, [0.25])
+            assert os.read(reader, 4096) == b"1,0.25000000\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.fifo"]
+
+    def test_symlink_target_is_replaced(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("1,0.1\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_trace(link, [0.25])
+        assert link.is_symlink() and real.read_text() == "1,0.25000000\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+# JSON values of any shape
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.integers(min_value=10**300, max_value=10**320),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(NETWORK_KEYS) | st.text(max_size=4), children, max_size=6),
+    max_leaves=20,
+)
+numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-3, 3)
+
+
+@st.composite
+def network_docs(draw):
+    """A network document with consistent shapes, then up to three of its
+    slots (fields, weight rows or weights) dropped or replaced by any JSON
+    value."""
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    layers = [
+        {
+            "weights": [draw(st.lists(numbers, min_size=n, max_size=n)) for _ in range(k)],
+            "bias": draw(st.lists(numbers, min_size=k, max_size=k)),
+            "mask": [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(k)],
+            "bias_mutable": draw(st.lists(st.booleans(), min_size=k, max_size=k)),
+            "activation": draw(st.sampled_from(["sigmoid", "tanh", "identity", "softplus"])),
+        }
+        for n, k in zip(widths, widths[1:])
+    ]
+    doc = {"in_dim": widths[0], "layers": layers}
+    containers = [doc, *layers, *(row for layer in layers for row in layer["weights"])]
+    for _ in range(draw(st.integers(0, 3))):
+        slots = draw(st.sampled_from(containers))
+        if slots:
+            key = draw(st.sampled_from(sorted(slots) if isinstance(slots, dict) else range(len(slots))))
+            if draw(st.booleans()):
+                del slots[key]
+            else:
+                slots[key] = draw(json_values)
+    return doc
+
+
+network_texts = st.one_of(st.text(), json_values.map(json.dumps), network_docs().map(json.dumps))
+
+
+def succeeds_or_format_error(parse, *args):
+    try:
+        parse(*args)
+    except FileFormatError:
+        pass
+
+
+class TestParseBoundaryFuzz:
+    """Whatever the text or bytes, parsing returns or raises FileFormatError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=network_texts)
+    def test_parse_network(self, text):
+        succeeds_or_format_error(parse_network, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text() | st.lists(json_scalars.map(str), max_size=4).map(",".join))
+    def test_parse_vector(self, text):
+        succeeds_or_format_error(parse_vector, text)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        content=st.binary() | st.text().map(str.encode) | network_texts.map(str.encode),
+        dims=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    )
+    def test_read_files(self, tmp_path, content, dims):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        succeeds_or_format_error(read_network, path)
+        succeeds_or_format_error(read_dataset, path, *dims)

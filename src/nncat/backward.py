@@ -13,15 +13,17 @@ Every backward question is answered by one function, `sweep`.  It runs
 the forward pass once, caching each layer's pre-activation z and output
 y, then walks the layers from last to first, reading each error signal
 off the cached states and pushing it back to the input erosion through
-the weight rows, read in place.  The sweep builds no gradient and no
-update: `backprop_step` makes them from its signals with `outer` and
-`masked_update`, `layer_gradient` is `outer` over the one-layer sweep's
-signal, and `erosion_transform_net` keeps the erosion at the input.
-Each sum starts at 0.0 and runs over ascending indices, the order of
-`kleisli_apply` and `vec_mat`, so the sweep agrees with them bit for bit.
+the weight columns, read in place.  The sweep builds no gradient and no
+update: `backprop_step` updates each layer straight from its signal,
+`layer_gradient` is `outer` over the one-layer sweep's signal, and
+`erosion_transform_net` keeps the erosion at the input.  Each sum starts
+at 0.0 and runs over ascending indices, the order of `kleisli_apply` and
+`vec_mat`, so the sweep agrees with them bit for bit.
 
-Updates subtract the gradient only at mutable positions; frozen entries
-are returned untouched, bit for bit, so arithmetic cannot perturb them.
+`masked_update` subtracts a gradient only at mutable positions; frozen
+entries are returned untouched, bit for bit, so arithmetic cannot
+perturb them.  With `outer` it is the reference path that
+`backprop_step`'s fused update matches bit for bit.
 """
 
 from __future__ import annotations
@@ -89,13 +91,20 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
 
 
 def _pushback(t: Mat, s: Vec) -> Vec:
-    """The input erosion: s times the weight columns of `t`, row by row."""
+    """The input erosion: s times the weight columns of `t`.
+
+    e_in[i] sums s_j * t[j, i] over ascending j from 0.0, the order of
+    `vec_mat`, reading column i in place as a strided slice; the bias
+    column does not reach the input.
+    """
     cols = t.cols
-    e_in = [0.0] * (cols - 1)
-    for j, sj in enumerate(s):
-        row = t.entries[j * cols : (j + 1) * cols]
-        # zip stops before the bias column, which does not reach the input
-        e_in = [acc + sj * w for acc, w in zip(e_in, row)]
+    entries = t.entries
+    e_in = []
+    for i in range(cols - 1):
+        acc = 0.0
+        for sj, w in zip(s, entries[i::cols]):
+            acc += sj * w
+        e_in.append(acc)
     return tuple(e_in)
 
 

@@ -118,6 +118,9 @@ def _gradcheck_network(args: argparse.Namespace, in_dim: int, out_dim: int) -> N
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if not args.eta > 0.0:
         raise ValueError(f"--eta must be > 0, got {args.eta}")
+    # 0 is a valid bound that only exact agreement meets
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     x = parse_vector(args.input)
     target = parse_vector(args.target)
     net = _gradcheck_network(args, len(x), len(target))

@@ -146,6 +146,21 @@ class Network:
                 f"last layer emits {self.layers[-1].out_dim}, network declares {self.out_dim}"
             )
 
+    def _with_layers(self, layers: tuple[Layer, ...]) -> "Network":
+        """This network with its layers replaced, for the engine's own
+        rebuilds (updates).
+
+        Each new layer must have the shape of the one it replaces, as a
+        layer from `Layer._with_transition` does, so the dimensions this
+        network checked when it was built still hold and __post_init__
+        is not run again.
+        """
+        net = object.__new__(Network)
+        object.__setattr__(net, "layers", layers)
+        object.__setattr__(net, "in_dim", self.in_dim)
+        object.__setattr__(net, "out_dim", self.out_dim)
+        return net
+
     @classmethod
     def chain(cls, layers: Sequence[Layer]) -> "Network":
         """Network from a non-empty layer sequence, dims read off the ends."""

@@ -68,6 +68,23 @@ class TestBackpropStep:
         with pytest.raises(DomainError, match="matrix entry is not finite: inf"):
             backprop_step(net, (1e200,), squared_error((0.0,), 1e200))
 
+    def test_non_finite_update_names_its_layer(self):
+        # only the last layer's gradient overflows, and the layers raise last first
+        net = Network.chain([
+            make_layer(((1.0,),), (0.0,), IDENTITY),
+            make_layer(((1e-200,),), (0.0,), IDENTITY),
+        ])
+        with pytest.raises(DomainError, match=r"^matrix entry is not finite: inf \(layer 1\)$"):
+            backprop_step(net, (1e200,), squared_error((0.0,), 1e120))
+
+    def test_gradients_built_on_first_access(self):
+        _, trace = backprop_step(mazur_network(), INPUT, mazur_loss())
+        assert "gradients" not in vars(trace)
+        gradients = trace.gradients
+        assert trace.gradients is gradients
+        for g, s, a in zip(gradients, trace.signals, trace.states):
+            assert g.matrix == outer(s, a + (1.0,))
+
 
 class TestTraceInvariants:
     def test_states_and_erosions_recursion(self):
@@ -190,6 +207,13 @@ class TestTrain:
         net = mazur_network()
         trained, losses = train(net, [(INPUT, TARGET)], 0.5, SgdConfig(0))
         assert trained == net
+        assert losses == []
+
+    def test_zero_epochs_builds_no_loss(self):
+        # an infinite rate makes no loss, and zero epochs need none
+        net = mazur_network()
+        trained, losses = train(net, [(INPUT, TARGET)], float("inf"), SgdConfig(0))
+        assert trained is net
         assert losses == []
 
     def test_loss_recorded_before_update(self):

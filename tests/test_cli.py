@@ -216,6 +216,13 @@ class TestGradcheck:
         assert run(self.args(mazur_file, **{"--tol": "0"})) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_usage_error(self, mazur_file, capsys, tol):
+        assert run(self.args(mazur_file, **{"--tol": tol})) == 2
+        captured = capsys.readouterr()
+        assert f"--tol must be >= 0, got {float(tol)}" in captured.err
+        assert captured.out == ""
+
     def test_seeded_random_network(self, capsys):
         argv = ["gradcheck", "--seed", "42", "--input", "0.2,-0.4",
                 "--target", "0.3,0.6,0.1", "--eta", "0.25"]

@@ -78,6 +78,16 @@ class TestNetworkConstruction:
     def test_chain_reads_end_dims(self):
         net = mazur_network()
         assert (net.in_dim, net.out_dim) == (2, 2)
+
+    def test_rebuild_with_layers(self):
+        net = mazur_network()
+        layers = tuple(
+            layer._with_transition(Mat.zeros(layer.out_dim, layer.in_dim + 1))
+            for layer in net.layers
+        )
+        rebuilt = net._with_layers(layers)
+        assert rebuilt == Network(layers, net.in_dim, net.out_dim)
+        assert rebuilt.layers is layers
         assert len(net.layers) == 2
 
     def test_incompatible_layers_rejected(self):

@@ -78,11 +78,21 @@ def act_deriv(alpha: Activation, z: float) -> float:
     return alpha.deriv(z)
 
 
+def _require_finite(z: Vec, what: str) -> None:
+    if not all(map(math.isfinite, z)):
+        bad = next(v for v in z if not math.isfinite(v))
+        raise DomainError(f"{what} is not finite: {bad!r}")
+
+
 def act_map(alpha: Activation, z: Vec) -> Vec:
-    """Apply the activation to every coordinate."""
-    return tuple(act_value(alpha, v) for v in z)
+    """Apply the activation to every coordinate; a non-finite coordinate
+    raises `act_value`'s error for the first one."""
+    _require_finite(z, "activation input")
+    return tuple(map(alpha.value, z))
 
 
 def act_deriv_map(alpha: Activation, z: Vec) -> Vec:
-    """Apply the activation's derivative to every coordinate."""
-    return tuple(act_deriv(alpha, v) for v in z)
+    """Apply the activation's derivative to every coordinate; a non-finite
+    coordinate raises `act_deriv`'s error for the first one."""
+    _require_finite(z, "activation derivative input")
+    return tuple(map(alpha.deriv, z))

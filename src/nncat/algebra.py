@@ -78,6 +78,20 @@ class Mat:
             raise ShapeError(f"index ({j},{i}) outside {self.rows}x{self.cols}")
         return self.entries[j * self.cols + i]
 
+    def _with_entries(self, entries: tuple[float, ...]) -> "Mat":
+        """This matrix's shape with new entries, for the engine's own
+        rebuilds (updates).
+
+        The caller guarantees `entries` has rows * cols finite floats,
+        as the step's update checks once, so __post_init__ does not scan
+        them again.
+        """
+        mat = object.__new__(Mat)
+        object.__setattr__(mat, "rows", self.rows)
+        object.__setattr__(mat, "cols", self.cols)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
     def row(self, j: int) -> Vec:
         return self.entries[j * self.cols : (j + 1) * self.cols]
 
@@ -97,16 +111,21 @@ def kleisli_apply(t: Mat, x: Vec) -> Vec:
         raise ShapeError(
             f"matrix is {t.rows}x{t.cols} but input of length {n} needs {n + 1} columns"
         )
-    cols = t.cols
+    return _affine(t.entries, x)
+
+
+def _affine(entries: Sequence[float], x: Vec) -> Vec:
+    """`kleisli_apply` on row-major entries with len(x) + 1 columns,
+    unchecked."""
+    cols = len(x) + 1
     out = []
-    for j in range(t.rows):
-        row = t.entries[j * cols : (j + 1) * cols]
+    for k in range(0, len(entries), cols):
+        row = entries[k : k + cols]
         acc = 0.0
         # zip stops before the bias column
         for w, xi in zip(row, x):
             acc += w * xi
-        acc += row[n]
-        out.append(acc)
+        out.append(acc + row[-1])
     return tuple(out)
 
 

@@ -16,10 +16,17 @@ discipline is what makes the step compose: stepping a concatenated
 network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
-Each updated matrix is validated once, as a new `Mat`, from the last
-layer to the first; updated layers reuse the mask and bias flags checked
-when the layer was built.  The trace keeps the signals and builds the
-gradients only when they are read.
+The step works on flat, row-major entry tuples, one per layer: `_step`
+sweeps against them and replaces each, from the last layer to the
+first, with its updated entries, checking once that every product and
+every new entry is finite.  `backprop_step` reads the entries off its
+network and wraps the new ones in matrices, layers and a network that
+reuse the shapes, masks and bias flags already checked, without
+validating them again.  `train` holds one entry tuple per layer for the
+whole run and builds a network from them once, for its last step, which
+is `backprop_step`; no other step builds a matrix, layer, network or
+trace.  The trace keeps the signals and builds the gradients only when
+they are read.
 """
 
 from __future__ import annotations
@@ -27,12 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add
 from typing import Sequence
 
 from .algebra import DomainError, Mat, ShapeError, Vec, outer
-from .backward import Gradient, sweep
+from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
 from .network import Layer, Network, compose, net_forward
 
@@ -77,22 +82,57 @@ def _products_finite(s: Vec, inp: Vec) -> bool:
     )
 
 
-def _updated_layer(layer: Layer, s: Vec, a: Vec) -> Layer:
-    """`masked_update(layer, Gradient(outer(s, a + (1,))))`, bit for bit,
-    without building the gradient: each mutable entry becomes
-    w - s_j * (a, 1)_i, each frozen one stays w."""
-    t = layer.transition
+def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
+    """`masked_update` of `Gradient(outer(s, a + (1,)))` on the layer's
+    row-major `entries`, bit for bit, without building the gradient:
+    each mutable entry becomes w - s_j * (a, 1)_i, each frozen one stays
+    w.  A product or a result that is not finite raises the error the
+    gradient matrix or the updated matrix would have raised."""
     inp = a + (1.0,)
     if not _products_finite(s, inp):
         # raises the gradient matrix's own error, unless it has no entries
         outer(s, inp)
-    signal = chain.from_iterable(map(repeat, s, repeat(t.cols)))
-    flags = chain.from_iterable(map(add, layer.mask, zip(layer.bias_mutable)))
-    entries = [
+    cols = len(inp)
+    new = [
         w - sj * ai if f else w
-        for w, sj, ai, f in zip(t.entries, signal, inp * t.rows, flags)
+        for sj, k, mrow, b in zip(s, range(0, len(entries), cols), layer.mask, layer.bias_mutable)
+        for w, ai, f in zip(entries[k : k + cols], inp, mrow + (b,))
     ]
-    return layer._with_transition(Mat(t.rows, t.cols, tuple(entries)))
+    if not all(map(math.isfinite, new)):
+        # raises the updated matrix's own error
+        Mat(len(s), cols, tuple(new))
+    return tuple(new)
+
+
+def _step(
+    net: Network, weights: list[Vec], a: Vec, erosion: ErosionFn
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """One step of `net` with layer i's entries read from `weights[i]`,
+    which it replaces with the updated entries; returns the sweep's
+    states, erosions and signals.
+
+    One sweep gives every layer's error signal against the entries
+    before the step, so updating them in place changes no gradient.  A
+    forward pass or an update that leaves the finite floats raises
+    `DomainError` naming the layer, counted from 0; the layers are
+    updated, and so raise, last first.
+    """
+    states, erosions, signals = sweep(net, a, erosion, weights)
+    for idx in range(len(weights) - 1, -1, -1):
+        try:
+            weights[idx] = _updated_entries(net.layers[idx], weights[idx], signals[idx], states[idx])
+        except DomainError as exc:
+            raise DomainError(f"{exc} (layer {idx})") from exc
+    return states, erosions, signals
+
+
+def _with_weights(net: Network, weights: list[Vec]) -> Network:
+    """`net` with each layer's transition entries replaced by the
+    checked entries of `weights`; masks, flags and shapes are reused."""
+    return net._with_layers(tuple(
+        layer._with_transition(layer.transition._with_entries(w))
+        for layer, w in zip(net.layers, weights)
+    ))
 
 
 def backprop_step(
@@ -101,20 +141,15 @@ def backprop_step(
     """Apply one gradient update to every layer of the network.
 
     One sweep gives every layer's error signal against the pre-update
-    weights; here each updates its layer.  An update that leaves the
-    finite floats raises `DomainError` naming the layer, counted from 0;
-    the layers are updated, and so raise, last first.
+    weights; here each updates its layer.  A forward pass or an update
+    that leaves the finite floats raises `DomainError` naming the layer,
+    counted from 0; the layers are updated, and so raise, last first.
     """
     if loss.dim != net.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
-    states, erosions, signals = sweep(net, a, loss.erosion)
-    layers = list(net.layers)
-    for idx in range(len(layers) - 1, -1, -1):
-        try:
-            layers[idx] = _updated_layer(layers[idx], signals[idx], states[idx])
-        except DomainError as exc:
-            raise DomainError(f"{exc} (layer {idx})") from exc
-    return net._with_layers(tuple(layers)), BackpropTrace(states, erosions, signals)
+    weights = [layer.transition.entries for layer in net.layers]
+    trace = BackpropTrace(*_step(net, weights, a, loss.erosion))
+    return _with_weights(net, weights), trace
 
 
 def functoriality_check(
@@ -157,8 +192,10 @@ def train(
 
     Each row (input, target) builds its squared-error loss, with the rate
     folded in, once for all epochs; the loss of the current network on
-    the row is recorded before its update applies.  Deterministic: fixed
-    order, no shuffling.  A step that leaves the finite floats raises
+    the row is recorded before its update applies.  Every step but the
+    last updates flat entry tuples in place; the last is `backprop_step`
+    on the network built from them.  Deterministic: fixed order, no
+    shuffling.  A step that leaves the finite floats raises
     `DomainError` naming its epoch and row, both counted from 1, and its
     layer, counted from 0.
     """
@@ -175,12 +212,20 @@ def train(
 
     # built only when a step reads them, so 0 epochs still accept any rate > 0
     rows = [(x, squared_error(t, rate)) for x, t in dataset] if cfg.epochs else []
+    weights = [layer.transition.entries for layer in net.layers]
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         for row, (x, loss) in enumerate(rows, 1):
             try:
-                net, trace = backprop_step(net, x, loss)
+                if epoch < cfg.epochs or row < len(rows):
+                    states = _step(net, weights, x, loss.erosion)[0]
+                else:
+                    # The last step builds the network that is returned, so
+                    # it is the public step; `benchmarks/run.py --trace 1`
+                    # times `backprop_step` on every workload.
+                    net, trace = backprop_step(_with_weights(net, weights), x, loss)
+                    states = trace.states
             except DomainError as exc:
                 raise DomainError(f"epoch {epoch}, row {row}: {exc}") from exc
-            losses.append(validity(trace.states[-1], loss))
+            losses.append(validity(states[-1], loss))
     return net, losses

@@ -13,12 +13,18 @@ Every backward question is answered by one function, `sweep`.  It runs
 the forward pass once, caching each layer's pre-activation z and output
 y, then walks the layers from last to first, reading each error signal
 off the cached states and pushing it back to the input erosion through
-the weight columns, read in place.  The sweep builds no gradient and no
-update: `backprop_step` updates each layer straight from its signal,
-`layer_gradient` is `outer` over the one-layer sweep's signal, and
-`erosion_transform_net` keeps the erosion at the input.  Each sum starts
-at 0.0 and runs over ascending indices, the order of `kleisli_apply` and
-`vec_mat`, so the sweep agrees with them bit for bit.
+the weight columns, read in place.  It reads each layer's weights as a
+flat row-major entry tuple, the layer's own or one the caller passes,
+which is how `train` steps weights that live in no `Mat` until its last
+step.  A forward pass that leaves the finite floats raises naming the
+layer.  The sweep builds no gradient and no update: `backprop_step`
+updates each layer straight from its signal, `layer_gradient` is
+`outer` over the one-layer sweep's signal, and `erosion_transform_net`
+keeps the erosion at the input.  Each sum starts at 0.0 and runs over
+ascending indices, the order of `vec_mat`; the affine and pushback loops
+exist once, on entry tuples (`_affine`, `_pushback_entries`), with
+`kleisli_apply` and `_pushback` as their shape-checked wrappers, so the
+sweep agrees with them bit for bit.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
@@ -29,10 +35,10 @@ perturb them.  With `outer` it is the reference path that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply, outer
-from .activation import act_deriv_map
+from .algebra import DomainError, Mat, ShapeError, Vec, _affine, hadamard, kleisli_apply, outer
+from .activation import act_deriv_map, act_map
 from .network import Layer, Network, forward_cached
 
 if TYPE_CHECKING:
@@ -72,8 +78,8 @@ def _erosion_vector_generic(layer: Layer, a: Vec, e_out: Vec) -> Vec:
 def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
     if layer.activation.tag == "sigmoid":
         # the slope y * (1 - y) comes from the cached output
-        return tuple((e * v) * (1.0 - v) for e, v in zip(e_out, y))
-    return tuple(e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z)))
+        return tuple([(e * v) * (1.0 - v) for e, v in zip(e_out, y)])
+    return tuple([e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z))])
 
 
 def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
@@ -91,14 +97,19 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
 
 
 def _pushback(t: Mat, s: Vec) -> Vec:
-    """The input erosion: s times the weight columns of `t`.
+    """The input erosion: s times the weight columns of `t`."""
+    if len(s) != t.rows:
+        raise ShapeError(f"signal has length {len(s)}, matrix has {t.rows} rows")
+    return _pushback_entries(t.entries, t.cols, s)
+
+
+def _pushback_entries(entries: Sequence[float], cols: int, s: Vec) -> Vec:
+    """`_pushback` on row-major entries, unchecked.
 
     e_in[i] sums s_j * t[j, i] over ascending j from 0.0, the order of
     `vec_mat`, reading column i in place as a strided slice; the bias
     column does not reach the input.
     """
-    cols = t.cols
-    entries = t.entries
     e_in = []
     for i in range(cols - 1):
         acc = 0.0
@@ -109,23 +120,37 @@ def _pushback(t: Mat, s: Vec) -> Vec:
 
 
 def sweep(
-    net: Network, a: Vec, erosion: ErosionFn
+    net: Network,
+    a: Vec,
+    erosion: ErosionFn,
+    weights: Sequence[Sequence[float]] | None = None,
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """The forward and backward sweep of `net` at input `a`.
 
-    `erosion` is the output loss's erosion.  Returns the states
-    a_0..a_m, the erosions e_0..e_m (e_m at the output, e_0 at the
-    input) and the error signals s_1..s_m, one per layer, all against
-    the original weights.  Layer i's gradient is
-    `outer(s_i, a_(i-1) + (1.0,))`.  Each loop runs over the layers, so
-    depth costs no stack.
+    `erosion` is the output loss's erosion.  Layer i's transition
+    entries, row-major, are read from `weights[i]`, which the caller
+    guarantees has the layer's shape; without `weights`, from the layers
+    themselves.  Returns the states a_0..a_m, the erosions e_0..e_m (e_m
+    at the output, e_0 at the input) and the error signals s_1..s_m, one
+    per layer, all against those weights.  Layer i's gradient is
+    `outer(s_i, a_(i-1) + (1.0,))`.  A forward pass that leaves the
+    finite floats raises `DomainError` naming the layer, counted from 0.
+    Each loop runs over the layers, so depth costs no stack.
     """
     if len(a) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
+    layers = net.layers
+    if weights is None:
+        weights = [layer.transition.entries for layer in layers]
     states = [a]
     pre_activations = []
-    for layer in net.layers:
-        z, y = forward_cached(layer, states[-1])
+    for idx, (layer, w) in enumerate(zip(layers, weights)):
+        # `Network` guarantees the state has this layer's input length
+        z = _affine(w, states[-1])
+        try:
+            y = act_map(layer.activation, z)
+        except DomainError as exc:
+            raise DomainError(f"{exc} (layer {idx})") from exc
         pre_activations.append(z)
         states.append(y)
 
@@ -136,10 +161,10 @@ def sweep(
         raise ShapeError(f"erosion has length {len(e)}, network emits {net.out_dim}")
     erosions = [e]
     signals = []
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
+    for idx in range(len(layers) - 1, -1, -1):
+        layer = layers[idx]
         s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
-        e = _pushback(layer.transition, s)
+        e = _pushback_entries(weights[idx], len(states[idx]) + 1, s)
         signals.append(s)
         erosions.append(e)
     return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nncat.algebra import DomainError, ShapeError, hadamard, kleisli_apply, outer, vec_mat, weights_part
-from nncat.activation import IDENTITY, act_deriv_map
+from nncat.activation import IDENTITY, TANH, act_deriv_map
 from nncat.backprop import SgdConfig, backprop_step, functoriality_check, train
 from nncat.backward import layer_gradient, masked_update
 from nncat.loss import squared_error, transform_loss, validity
@@ -76,6 +76,18 @@ class TestBackpropStep:
         ])
         with pytest.raises(DomainError, match=r"^matrix entry is not finite: inf \(layer 1\)$"):
             backprop_step(net, (1e200,), squared_error((0.0,), 1e120))
+
+    def test_non_finite_forward_names_its_layer(self):
+        # the second layer's pre-activation overflows before any update
+        net = Network.chain([
+            make_layer(((1.0,),), (0.0,), IDENTITY),
+            make_layer(((1e308,),), (0.0,), TANH),
+        ])
+        with pytest.raises(DomainError, match=r"^activation input is not finite: inf \(layer 1\)$"):
+            backprop_step(net, (2.0,), squared_error((0.0,), 1.0))
+        # the forward pass alone runs no sweep and names no layer
+        with pytest.raises(DomainError, match=r"^activation input is not finite: inf$"):
+            net_forward(net, (2.0,))
 
     def test_gradients_built_on_first_access(self):
         _, trace = backprop_step(mazur_network(), INPUT, mazur_loss())
@@ -249,6 +261,14 @@ class TestTrain:
                 replay, _ = backprop_step(replay, x, loss)
         assert losses == expected
         assert trained == replay
+
+    def test_diverging_forward_names_epoch_row_and_layer(self):
+        net = Network.chain([make_layer(((1e308,),), (0.0,), TANH)])
+        rows = [((0.0,), (0.0,)), ((2.0,), (0.0,))]
+        with pytest.raises(
+            DomainError, match=r"^epoch 1, row 2: activation input is not finite: inf \(layer 0\)$"
+        ):
+            train(net, rows, 1.0, SgdConfig(1))
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import nncat.demo
-from nncat.activation import IDENTITY
+from nncat.activation import IDENTITY, TANH
 from nncat.cli import main
 from nncat.fileio import parse_network, read_network, serialize_network, write_network
 from nncat.network import Network, identity_net, make_layer
@@ -98,7 +98,8 @@ class TestForward:
         assert run(["forward", "--net", str(path), "--input", "1e300"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("nncat: error: ")
-        assert "big.json: activation input is not finite: inf" in err
+        # `forward` runs no backward sweep, so its message names no layer
+        assert err.endswith("big.json: activation input is not finite: inf\n")
 
 
 class TestTrain:
@@ -190,6 +191,24 @@ class TestTrain:
         ) == 2
         assert "epoch 1, row 1: matrix entry is not finite: inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_forward_names_its_layer(self, tmp_path, capsys):
+        net = tmp_path / "tanh.json"
+        write_network(net, Network.chain([make_layer(((1e308,),), (0.0,), TANH)]))
+        data = tmp_path / "rows.csv"
+        data.write_text("2.0,0\n")
+        out = tmp_path / "o.json"
+        trace = tmp_path / "t.csv"
+        assert run(
+            ["train", "--net", str(net), "--data", str(data), "--eta", "1",
+             "--epochs", "1", "--out", str(out), "--trace", str(trace)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "nncat: error: epoch 1, row 1: activation input is not finite: inf (layer 0)\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not trace.exists()
 
 
 class TestGradcheck:

@@ -6,7 +6,12 @@ never builds the gradient matrix.  The reference builds it,
 Both must give the same floats, compared as IEEE 754 bits, and a step
 that overflows must raise the reference path's error text, with the
 layer named.  The pushback through a layer must equal
-`vec_mat(s, weights_part(t))`.
+`vec_mat(s, weights_part(t))`.  The sweep's states, signals and erosions
+must equal the ones computed from the definitions, the sigmoid's slope
+written as `(e * y) * (1 - y)`.  `train`, which steps flat entry tuples
+and calls `backprop_step` only for its last step, must equal a fold of
+`backprop_step` and `validity`: the final weights, every loss and the
+error text of a run that overflows.
 
 Networks are drawn with in_dim 0-5, every activation and mask densities
 1, 0.5 and 0.1; overflow cases use weights near 1e154 and a rate of
@@ -18,12 +23,12 @@ import struct
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH
-from nncat.algebra import DomainError, outer, vec_mat, weights_part
-from nncat.backprop import backprop_step
+from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
+from nncat.algebra import DomainError, kleisli_apply, outer, vec_mat, weights_part
+from nncat.backprop import SgdConfig, backprop_step, train
 from nncat.backward import Gradient, _pushback, masked_update, sweep
-from nncat.loss import squared_error
-from nncat.network import Network, identity_net, make_layer
+from nncat.loss import squared_error, validity
+from nncat.network import Network, identity_net, make_layer, net_forward
 
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 # P(mutable) of 1, 0.5 and 0.1
@@ -39,7 +44,8 @@ def bits(values) -> bytes:
 
 
 @st.composite
-def step_cases(draw):
+def nets(draw):
+    """A network and whether it is an overflow case."""
     overflow = draw(st.booleans())
     scale = 1e154 if overflow else 2.0
     density = draw(st.sampled_from(sorted(FLAGS)))
@@ -62,10 +68,26 @@ def step_cases(draw):
         for n, k in zip(widths, widths[1:])
     ]
     net = Network.chain(layers) if layers else identity_net(in_dim)
-    a = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(net.in_dim))
-    target = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(net.out_dim))
-    rate = 1e300 if overflow else draw(st.floats(0.0, 2.0))
-    return net, a, squared_error(target, rate)
+    return net, overflow
+
+
+def rows(net):
+    """(input, target) pairs for `net`."""
+    state = st.floats(-2.0, 2.0)
+    return st.tuples(
+        st.tuples(*[state] * net.in_dim), st.tuples(*[state] * net.out_dim)
+    )
+
+
+def rates(overflow):
+    return st.just(1e300) if overflow else st.floats(0.0, 2.0)
+
+
+@st.composite
+def step_cases(draw):
+    net, overflow = draw(nets())
+    a, target = draw(rows(net))
+    return net, a, squared_error(target, draw(rates(overflow)))
 
 
 def reference_step(net, a, loss):
@@ -138,3 +160,86 @@ def test_pushback_matches_vec_mat(case, data):
     for layer in net.layers:
         s = tuple(data.draw(st.floats(-1e300, 1e300)) for _ in range(layer.out_dim))
         assert bits(_pushback(layer.transition, s)) == bits(vec_mat(s, weights_part(layer.transition)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=step_cases())
+def test_sweep_follows_the_definitions(case):
+    """Each state is the layer's forward step, each signal is
+    `(e * y) * (1 - y)` for sigmoid and `e * deriv(z)` otherwise, and
+    each erosion is the signal times the weight columns, as bits."""
+    net, a, loss = case
+    try:
+        states, erosions, signals = sweep(net, a, loss.erosion)
+    except DomainError:
+        return
+    assert bits(erosions[-1]) == bits(loss.erosion(states[-1]))
+    for i, layer in enumerate(net.layers):
+        t = layer.transition
+        z = kleisli_apply(t, states[i])
+        y, e = states[i + 1], erosions[i + 1]
+        assert bits(y) == bits(act_map(layer.activation, z))
+        if layer.activation == SIGMOID:
+            want = [(ej * yj) * (1.0 - yj) for ej, yj in zip(e, y)]
+        else:
+            want = [ej * layer.activation.deriv(zj) for ej, zj in zip(e, z)]
+        assert bits(signals[i]) == bits(want)
+        assert bits(erosions[i]) == bits(vec_mat(tuple(want), weights_part(t)))
+
+
+def reference_train(net, dataset, rate, epochs):
+    """`train` as a fold of `backprop_step`, each row's loss read off the
+    forward pass before its step.  Returns the network and the losses,
+    or the error text the run must raise."""
+    losses = []
+    for epoch in range(1, epochs + 1):
+        for row, (x, t) in enumerate(dataset, 1):
+            loss = squared_error(t, rate)
+            try:
+                stepped, _ = backprop_step(net, x, loss)
+            except DomainError as exc:
+                return f"epoch {epoch}, row {row}: {exc}"
+            losses.append(validity(net_forward(net, x), loss))
+            net = stepped
+    return net, losses
+
+
+@st.composite
+def train_cases(draw):
+    net, overflow = draw(nets())
+    dataset = draw(st.lists(rows(net), min_size=1, max_size=3))
+    rate = 1e300 if overflow else draw(st.floats(0.0, 2.0, exclude_min=True))
+    return net, dataset, rate, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=train_cases())
+# the forward pass of the first step overflows in the second layer
+@example(case=(
+    Network.chain([make_layer(((1.0,),), (0.0,), IDENTITY), make_layer(((1e308,),), (0.0,), TANH)]),
+    [((2.0,), (0.0,))],
+    1.0,
+    1,
+))
+# the second row's update overflows, after the first row's step
+@example(case=(
+    Network.chain([make_layer(((1.0,),), (0.0,), IDENTITY)]),
+    [((0.5,), (0.0,)), ((1e200,), (0.0,))],
+    1e200,
+    2,
+))
+def test_train_is_a_fold_of_steps(case):
+    net, dataset, rate, epochs = case
+    want = reference_train(net, dataset, rate, epochs)
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as caught:
+            train(net, dataset, rate, SgdConfig(epochs))
+        assert str(caught.value) == want
+        return
+    trained, losses = train(net, dataset, rate, SgdConfig(epochs))
+    want_net, want_losses = want
+    assert bits(losses) == bits(want_losses)
+    for got, ref in zip(trained.layers, want_net.layers, strict=True):
+        assert bits(got.transition.entries) == bits(ref.transition.entries)
+        assert (got.mask, got.bias_mutable, got.activation) == (ref.mask, ref.bias_mutable, ref.activation)
+    assert (trained.in_dim, trained.out_dim) == (want_net.in_dim, want_net.out_dim)

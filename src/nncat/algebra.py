@@ -78,20 +78,6 @@ class Mat:
             raise ShapeError(f"index ({j},{i}) outside {self.rows}x{self.cols}")
         return self.entries[j * self.cols + i]
 
-    def _with_entries(self, entries: tuple[float, ...]) -> "Mat":
-        """This matrix's shape with new entries, for the engine's own
-        rebuilds (updates).
-
-        The caller guarantees `entries` has rows * cols finite floats,
-        as the step's update checks once, so __post_init__ does not scan
-        them again.
-        """
-        mat = object.__new__(Mat)
-        object.__setattr__(mat, "rows", self.rows)
-        object.__setattr__(mat, "cols", self.cols)
-        object.__setattr__(mat, "entries", entries)
-        return mat
-
     def row(self, j: int) -> Vec:
         return self.entries[j * self.cols : (j + 1) * self.cols]
 

@@ -20,12 +20,12 @@ The step works on flat, row-major entry tuples, one per layer: `_step`
 sweeps against them and replaces each, from the last layer to the
 first, with its updated entries, checking once that every product and
 every new entry is finite.  `backprop_step` reads the entries off its
-network and wraps the new ones in matrices, layers and a network that
-reuse the shapes, masks and bias flags already checked, without
-validating them again.  `train` holds one entry tuple per layer for the
-whole run and builds a network from them once, for its last step, which
-is `backprop_step`; no other step builds a matrix, layer, network or
-trace.  The trace keeps the signals and builds the gradients only when
+network and rebuilds it from the new ones with `Network._with_weights`,
+the one rebuild that reuses the shapes, masks and bias flags already
+checked and does not scan the entries again.  `train` holds one entry
+tuple per layer for the whole run and builds a network from them once,
+for its last step, which is `backprop_step`; no other step builds a
+matrix, layer, network or trace.  The trace keeps the signals and builds the gradients only when
 they are read.
 """
 
@@ -126,15 +126,6 @@ def _step(
     return states, erosions, signals
 
 
-def _with_weights(net: Network, weights: list[Vec]) -> Network:
-    """`net` with each layer's transition entries replaced by the
-    checked entries of `weights`; masks, flags and shapes are reused."""
-    return net._with_layers(tuple(
-        layer._with_transition(layer.transition._with_entries(w))
-        for layer, w in zip(net.layers, weights)
-    ))
-
-
 def backprop_step(
     net: Network, a: Vec, loss: LossPredicate
 ) -> tuple[Network, BackpropTrace]:
@@ -149,7 +140,7 @@ def backprop_step(
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
     weights = [layer.transition.entries for layer in net.layers]
     trace = BackpropTrace(*_step(net, weights, a, loss.erosion))
-    return _with_weights(net, weights), trace
+    return net._with_weights(weights), trace
 
 
 def functoriality_check(
@@ -223,7 +214,7 @@ def train(
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`
                     # times `backprop_step` on every workload.
-                    net, trace = backprop_step(_with_weights(net, weights), x, loss)
+                    net, trace = backprop_step(net._with_weights(weights), x, loss)
                     states = trace.states
             except DomainError as exc:
                 raise DomainError(f"epoch {epoch}, row {row}: {exc}") from exc

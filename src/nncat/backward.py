@@ -22,14 +22,15 @@ updates each layer straight from its signal, `layer_gradient` is
 `outer` over the one-layer sweep's signal, and `erosion_transform_net`
 keeps the erosion at the input.  Each sum starts at 0.0 and runs over
 ascending indices, the order of `vec_mat`; the affine and pushback loops
-exist once, on entry tuples (`_affine`, `_pushback_entries`), with
-`kleisli_apply` and `_pushback` as their shape-checked wrappers, so the
-sweep agrees with them bit for bit.
+exist once, on entry tuples (`_affine`, `_pushback_entries`), and
+`kleisli_apply` is the affine loop's shape-checked wrapper, so the sweep
+agrees with it bit for bit.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
 perturb them.  With `outer` it is the reference path that
-`backprop_step`'s fused update matches bit for bit.
+`backprop_step`'s fused update matches bit for bit, and it builds its
+layer through the public constructors, which check it.
 """
 
 from __future__ import annotations
@@ -96,15 +97,9 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     return _error_signal(layer, z, y, e_out)
 
 
-def _pushback(t: Mat, s: Vec) -> Vec:
-    """The input erosion: s times the weight columns of `t`."""
-    if len(s) != t.rows:
-        raise ShapeError(f"signal has length {len(s)}, matrix has {t.rows} rows")
-    return _pushback_entries(t.entries, t.cols, s)
-
-
 def _pushback_entries(entries: Sequence[float], cols: int, s: Vec) -> Vec:
-    """`_pushback` on row-major entries, unchecked.
+    """The input erosion: `s` times the weight columns of the row-major
+    `entries` with `cols` columns, unchecked.
 
     e_in[i] sums s_j * t[j, i] over ascending j from 0.0, the order of
     `vec_mat`, reading column i in place as a strided slice; the bias
@@ -219,4 +214,6 @@ def masked_update(layer: Layer, g: Gradient) -> Layer:
     for j, (row_mask, bias_flag) in enumerate(zip(layer.mask, layer.bias_mutable)):
         mutable = row_mask + (bias_flag,)
         new_entries += [w - d if f else w for w, d, f in zip(t.row(j), m.row(j), mutable)]
-    return layer._with_transition(Mat(t.rows, t.cols, tuple(new_entries)))
+    return Layer(
+        Mat(t.rows, t.cols, tuple(new_entries)), layer.activation, layer.mask, layer.bias_mutable
+    )

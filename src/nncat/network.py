@@ -60,28 +60,6 @@ class Layer:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "bias_mutable", bias_mutable)
 
-    def _with_transition(self, transition: Mat) -> "Layer":
-        """This layer with a same-shape transition, for the engine's own
-        rebuilds (updates, oracle perturbations).
-
-        The mask and bias flags were normalised and checked when this
-        layer was built and do not change, so they are reused as they are
-        instead of going through __post_init__ again.  The new matrix has
-        validated its own entries.
-        """
-        old = self.transition
-        if (transition.rows, transition.cols) != (old.rows, old.cols):
-            raise ShapeError(
-                f"new transition is {transition.rows}x{transition.cols}, "
-                f"layer needs {old.rows}x{old.cols}"
-            )
-        layer = object.__new__(Layer)
-        object.__setattr__(layer, "transition", transition)
-        object.__setattr__(layer, "activation", self.activation)
-        object.__setattr__(layer, "mask", self.mask)
-        object.__setattr__(layer, "bias_mutable", self.bias_mutable)
-        return layer
-
     @property
     def in_dim(self) -> int:
         return self.transition.cols - 1
@@ -146,20 +124,31 @@ class Network:
                 f"last layer emits {self.layers[-1].out_dim}, network declares {self.out_dim}"
             )
 
-    def _with_layers(self, layers: tuple[Layer, ...]) -> "Network":
-        """This network with its layers replaced, for the engine's own
-        rebuilds (updates).
+    def _with_weights(self, weights: Sequence[tuple[float, ...]]) -> "Network":
+        """This network with layer i's transition entries replaced by
+        `weights[i]`, for the engine's own rebuilds (updates).
 
-        Each new layer must have the shape of the one it replaces, as a
-        layer from `Layer._with_transition` does, so the dimensions this
-        network checked when it was built still hold and __post_init__
-        is not run again.
+        Precondition: each `weights[i]` is a tuple of layer i's
+        rows x cols finite floats, row-major, as the step's update has
+        checked once.  So each new `Mat` and `Layer` skips its O(entries)
+        __post_init__ and reuses the shape, activation, mask and bias
+        flags checked when this network was built; this is the engine's
+        one unchecked construction.  The network itself is built through
+        its O(depth) public check.
         """
-        net = object.__new__(Network)
-        object.__setattr__(net, "layers", layers)
-        object.__setattr__(net, "in_dim", self.in_dim)
-        object.__setattr__(net, "out_dim", self.out_dim)
-        return net
+        layers = []
+        for layer, entries in zip(self.layers, weights, strict=True):
+            t = object.__new__(Mat)
+            object.__setattr__(t, "rows", layer.transition.rows)
+            object.__setattr__(t, "cols", layer.transition.cols)
+            object.__setattr__(t, "entries", entries)
+            new = object.__new__(Layer)
+            object.__setattr__(new, "transition", t)
+            object.__setattr__(new, "activation", layer.activation)
+            object.__setattr__(new, "mask", layer.mask)
+            object.__setattr__(new, "bias_mutable", layer.bias_mutable)
+            layers.append(new)
+        return Network(tuple(layers), self.in_dim, self.out_dim)
 
     @classmethod
     def chain(cls, layers: Sequence[Layer]) -> "Network":

@@ -60,9 +60,17 @@ def random_network(
     weight_scale: float = 2.0,
     mask_density: float = 1.0,
 ) -> Network:
-    """A random chain of `depth` layers from in_dim to out_dim."""
+    """A random chain of `depth` layers from in_dim to out_dim.
+
+    Depth 0 is the empty network, which needs in_dim == out_dim; a
+    negative depth raises `ValueError`.  `None` draws a depth from 1..3.
+    """
     if depth is None:
         depth = rng.randint(1, 3)
+    elif depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    elif depth == 0:
+        return Network((), in_dim, out_dim)
     widths = [in_dim] + [rng.randint(1, max_width) for _ in range(depth - 1)] + [out_dim]
     layers = []
     for n, k in zip(widths, widths[1:]):

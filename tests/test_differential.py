@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
 from nncat.algebra import DomainError, kleisli_apply, outer, vec_mat, weights_part
 from nncat.backprop import SgdConfig, backprop_step, train
-from nncat.backward import Gradient, _pushback, masked_update, sweep
+from nncat.backward import Gradient, _pushback_entries, masked_update, sweep
 from nncat.loss import squared_error, validity
 from nncat.network import Network, identity_net, make_layer, net_forward
 
@@ -158,8 +158,10 @@ def test_step_matches_reference_path(case):
 def test_pushback_matches_vec_mat(case, data):
     net, _, _ = case
     for layer in net.layers:
-        s = tuple(data.draw(st.floats(-1e300, 1e300)) for _ in range(layer.out_dim))
-        assert bits(_pushback(layer.transition, s)) == bits(vec_mat(s, weights_part(layer.transition)))
+        # small signals, so most sums stay finite and their order shows in the bits
+        s = tuple(data.draw(st.floats(-2.0, 2.0)) for _ in range(layer.out_dim))
+        t = layer.transition
+        assert bits(_pushback_entries(t.entries, t.cols, s)) == bits(vec_mat(s, weights_part(t)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

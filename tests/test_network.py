@@ -59,36 +59,32 @@ class TestLayerConstruction:
         layer = make_layer([(), ()], (0.5, -0.5), IDENTITY)
         assert (layer.in_dim, layer.out_dim) == (0, 2)
 
-    def test_rebuild_with_transition(self):
-        layer = make_layer(
-            FIRST_WEIGHTS, FIRST_BIAS, SIGMOID,
-            mask=((True, False), (False, True)), bias_mutable=(False, True),
-        )
-        t = Mat.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        rebuilt = layer._with_transition(t)
-        assert rebuilt == Layer(t, SIGMOID, layer.mask, layer.bias_mutable)
-        assert rebuilt.mask is layer.mask
-        with pytest.raises(ShapeError, match="new transition is 2x2"):
-            layer._with_transition(Mat.zeros(2, 2))
-        with pytest.raises(ShapeError, match="new transition is 3x3"):
-            layer._with_transition(Mat.zeros(3, 3))
-
 
 class TestNetworkConstruction:
     def test_chain_reads_end_dims(self):
         net = mazur_network()
         assert (net.in_dim, net.out_dim) == (2, 2)
 
-    def test_rebuild_with_layers(self):
-        net = mazur_network()
-        layers = tuple(
-            layer._with_transition(Mat.zeros(layer.out_dim, layer.in_dim + 1))
-            for layer in net.layers
-        )
-        rebuilt = net._with_layers(layers)
-        assert rebuilt == Network(layers, net.in_dim, net.out_dim)
-        assert rebuilt.layers is layers
-        assert len(net.layers) == 2
+    def test_rebuild_with_weights(self):
+        mask, flags = ((True, False), (False, True)), (False, True)
+
+        def build():
+            first = make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID, mask=mask, bias_mutable=flags)
+            return Network.chain([first, make_layer(SECOND_WEIGHTS, SECOND_BIAS, IDENTITY)])
+
+        net = build()
+        weights = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
+        rebuilt = net._with_weights(weights)
+        assert rebuilt == Network.chain([
+            Layer(Mat(2, 3, weights[0]), SIGMOID, mask, flags),
+            Layer(Mat(2, 3, weights[1]), IDENTITY),
+        ])
+        for new, old in zip(rebuilt.layers, net.layers, strict=True):
+            assert new.mask is old.mask
+            assert new.bias_mutable is old.bias_mutable
+            assert new.activation is old.activation
+        assert net == build()
+        assert identity_net(2)._with_weights([]) == identity_net(2)
 
     def test_incompatible_layers_rejected(self):
         wide = make_layer([(1.0, 2.0, 3.0)], (0.0,), SIGMOID)  # 3 -> 1
@@ -109,6 +105,20 @@ class TestNetworkConstruction:
     def test_chain_rejects_empty(self):
         with pytest.raises(ShapeError):
             Network.chain([])
+
+
+class TestRandomNetwork:
+    def test_depth_zero_is_the_empty_network(self):
+        rng = random.Random(1)
+        before = rng.getstate()
+        assert random_network(rng, 3, 3, depth=0) == identity_net(3)
+        assert rng.getstate() == before
+        with pytest.raises(ShapeError, match="empty network must have equal dims"):
+            random_network(rng, 2, 3, depth=0)
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+            random_network(random.Random(1), 2, 3, depth=-1)
 
 
 class TestLayerForward:

@@ -59,7 +59,6 @@ class TestLayerConstruction:
         layer = make_layer([(), ()], (0.5, -0.5), IDENTITY)
         assert (layer.in_dim, layer.out_dim) == (0, 2)
 
-
     def test_rebuild_with_transition(self):
         layer = make_layer(
             FIRST_WEIGHTS, FIRST_BIAS, SIGMOID,
@@ -79,20 +78,23 @@ class TestNetworkConstruction:
         assert (net.in_dim, net.out_dim) == (2, 2)
 
     def test_rebuild_with_layers(self):
+        mask, flags = ((True, False), (False, True)), (False, True)
+
         def build():
-            return Network.chain([
-                make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID),
-                make_layer(SECOND_WEIGHTS, SECOND_BIAS, IDENTITY),
-            ])
+            first = make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID, mask=mask, bias_mutable=flags)
+            return Network.chain([first, make_layer(SECOND_WEIGHTS, SECOND_BIAS, IDENTITY)])
 
         net = build()
         weights = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
         rebuilt = net._with_weights(weights)
         assert rebuilt == Network.chain([
-            Layer(Mat(2, 3, weights[0]), SIGMOID),
+            Layer(Mat(2, 3, weights[0]), SIGMOID, mask, flags),
             Layer(Mat(2, 3, weights[1]), IDENTITY),
         ])
-        assert (rebuilt.in_dim, rebuilt.out_dim) == (net.in_dim, net.out_dim)
+        for new, old in zip(rebuilt.layers, net.layers, strict=True):
+            assert new.mask is old.mask
+            assert new.bias_mutable is old.bias_mutable
+            assert new.activation is old.activation
         assert net == build()
         assert identity_net(2)._with_weights([]) == identity_net(2)
 

@@ -188,7 +188,9 @@ def train(
     on the network built from them.  Deterministic: fixed order, no
     shuffling.  A step that leaves the finite floats raises
     `DomainError` naming its epoch and row, both counted from 1, and its
-    layer, counted from 0.
+    layer, counted from 0.  A row whose loss is not finite raises
+    `DomainError` naming its epoch and row, after its step, so the
+    step's own error comes first.
     """
     if not dataset:
         raise ValueError("dataset is empty")
@@ -218,5 +220,8 @@ def train(
                     states = trace.states
             except DomainError as exc:
                 raise DomainError(f"epoch {epoch}, row {row}: {exc}") from exc
-            losses.append(validity(states[-1], loss))
+            value = validity(states[-1], loss)
+            if not math.isfinite(value):
+                raise DomainError(f"epoch {epoch}, row {row}: loss is not finite: {value!r}")
+            losses.append(value)
     return net, losses

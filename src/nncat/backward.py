@@ -18,13 +18,15 @@ flat row-major entry tuple, the layer's own or one the caller passes,
 which is how `train` steps weights that live in no `Mat` until its last
 step.  A forward pass that leaves the finite floats raises naming the
 layer.  The sweep builds no gradient and no update: `backprop_step`
-updates each layer straight from its signal, `layer_gradient` is
-`outer` over the one-layer sweep's signal, and `erosion_transform_net`
-keeps the erosion at the input.  Each sum starts at 0.0 and runs over
-ascending indices, the order of `vec_mat`; the affine and pushback loops
-exist once, on entry tuples (`_affine`, `_pushback_entries`), and
-`kleisli_apply` is the affine loop's shape-checked wrapper, so the sweep
-agrees with it bit for bit.
+updates each layer straight from its signal, `layer_erosion_vector` is
+the one-layer sweep's signal, `layer_gradient` is `outer` over it, and
+`erosion_transform_layer` and `erosion_transform_net` keep the erosion
+at the input.  The sweep checks the input's length and the output
+erosion's length once, for every caller.  Each sum starts at 0.0 and
+runs over ascending indices, the order of `vec_mat`; the affine and
+pushback loops exist once, on entry tuples (`_affine`,
+`_pushback_entries`), and `kleisli_apply` is the affine loop's
+shape-checked wrapper, so the sweep agrees with it bit for bit.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .algebra import DomainError, Mat, ShapeError, Vec, _affine, hadamard, kleisli_apply, outer
 from .activation import act_deriv_map, act_map
-from .network import Layer, Network, forward_cached
+from .network import Layer, Network
 
 if TYPE_CHECKING:
     from .loss import LossPredicate
@@ -60,16 +62,6 @@ class Gradient:
     matrix: Mat
 
 
-def _check_layer_input(layer: Layer, a: Vec) -> None:
-    if len(a) != layer.in_dim:
-        raise ShapeError(f"layer expects {layer.in_dim} inputs, got {len(a)}")
-
-
-def _check_layer_erosion(layer: Layer, e_out: Vec) -> None:
-    if len(e_out) != layer.out_dim:
-        raise ShapeError(f"erosion has length {len(e_out)}, layer emits {layer.out_dim}")
-
-
 def _erosion_vector_generic(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     """Error signal via the activation derivative at the pre-activation."""
     z = kleisli_apply(layer.transition, a)
@@ -81,20 +73,6 @@ def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
         # the slope y * (1 - y) comes from the cached output
         return tuple([(e * v) * (1.0 - v) for e, v in zip(e_out, y)])
     return tuple([e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z))])
-
-
-def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
-    """Per-output error signal for a layer at input `a`.
-
-    `e_out` must be the output loss's erosion already evaluated at the
-    layer's output.  For sigmoid layers the activation slope is recovered
-    from the output itself (y * (1 - y)) instead of re-deriving it, the
-    usual shortcut; both routes agree to well below 1e-12.
-    """
-    _check_layer_input(layer, a)
-    _check_layer_erosion(layer, e_out)
-    z, y = forward_cached(layer, a)
-    return _error_signal(layer, z, y, e_out)
 
 
 def _pushback_entries(entries: Sequence[float], cols: int, s: Vec) -> Vec:
@@ -165,13 +143,25 @@ def sweep(
     return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))
 
 
+def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
+    """Per-output error signal for a layer at input `a`.
+
+    `e_out` must be the output loss's erosion already evaluated at the
+    layer's output.  For sigmoid layers the activation slope is recovered
+    from the output itself (y * (1 - y)) instead of re-deriving it, the
+    usual shortcut; both routes agree to well below 1e-12.  This is the
+    one-layer sweep's signal: `sweep` checks both lengths, and a forward
+    pass that overflows raises naming layer 0.
+    """
+    return sweep(Network.chain([layer]), a, lambda _: e_out)[2][0]
+
+
 def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     """Gradient of (loss after this layer) in the transition matrix.
 
     Outer product of the error signal with (a, 1); the trailing 1 routes
     the signal into the bias column.
     """
-    _check_layer_input(layer, a)
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
     s = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
@@ -184,7 +174,6 @@ def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
     The error signal at x is pushed through the weight columns (the bias
     column does not depend on the input and drops out).
     """
-    _check_layer_input(layer, x)
     return sweep(Network.chain([layer]), x, erosion)[1][0]
 
 

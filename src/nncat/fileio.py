@@ -144,10 +144,8 @@ def network_from_json(doc: object) -> Network:
             raise FileFormatError(f"{where}: {exc}") from None
         prev_dim = len(bias)
 
-    try:
-        return Network.chain(layers)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
+    # each layer's input width was checked against the previous len(bias)
+    return Network.chain(layers)
 
 
 def parse_network(text: str) -> Network:

@@ -9,6 +9,11 @@ an ill-typed network is unrepresentable.
 The mask never participates in the forward pass; it only decides which
 entries a gradient update may touch.  A masked-off entry with a nonzero
 weight is a frozen connection, a masked-off zero entry is no connection.
+
+The forward pass, `net_forward`, is a left fold of `layer_forward` and
+keeps only the state it returns.  The backward sweep (`backward.sweep`)
+runs the same affine loop and activation itself and caches each layer's
+pre-activation there, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -164,16 +169,9 @@ def identity_net(n: int) -> Network:
     return Network((), n, n)
 
 
-def forward_cached(layer: Layer, x: Vec) -> tuple[Vec, Vec]:
-    """One forward step, keeping the pre-activation: (z, activation(z))
-    with z the affine transition of x."""
-    z = kleisli_apply(layer.transition, x)
-    return z, act_map(layer.activation, z)
-
-
 def layer_forward(layer: Layer, x: Vec) -> Vec:
     """One forward step: activation applied to the affine transition."""
-    return forward_cached(layer, x)[1]
+    return act_map(layer.activation, kleisli_apply(layer.transition, x))
 
 
 def net_forward(net: Network, x: Vec) -> Vec:

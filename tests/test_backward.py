@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from nncat.activation import IDENTITY, SIGMOID
-from nncat.algebra import Mat, ShapeError
+from nncat.activation import IDENTITY, SIGMOID, TANH
+from nncat.algebra import DomainError, Mat, ShapeError
 from nncat.backprop import backprop_step
 from nncat.backward import (
     Gradient,
@@ -61,10 +61,17 @@ class TestLayerErosionVector:
         assert layer_erosion_vector(layer, (0.1, 0.2), e_out) == e_out
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^network expects 2 inputs, got 1$"):
             layer_erosion_vector(second_layer(), (0.5,), (0.0, 0.0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^erosion has length 1, network emits 2$"):
             layer_erosion_vector(second_layer(), (0.5, 0.5), (0.0,))
+
+    def test_overflowing_forward_names_layer_0(self):
+        layer = make_layer(((1e308,),), (0.0,), TANH)
+        with pytest.raises(
+            DomainError, match=r"^activation input is not finite: inf \(layer 0\)$"
+        ):
+            layer_erosion_vector(layer, (2.0,), (0.0,))
 
     def test_sigmoid_shortcut_agrees_with_generic_path(self):
         rng = random.Random(1313)

@@ -210,6 +210,23 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists() and not trace.exists()
 
+    def test_non_finite_loss_fails_without_output(self, tmp_path, capsys):
+        # the step stays finite; the loss, 0.5 * 1e300 * 1e10, is not
+        net = tmp_path / "id.json"
+        write_network(net, Network.chain([make_layer(((1.0,),), (1e5,), IDENTITY)]))
+        data = tmp_path / "rows.csv"
+        data.write_text("1e-10,0\n")
+        out = tmp_path / "o.json"
+        trace = tmp_path / "t.csv"
+        assert run(
+            ["train", "--net", str(net), "--data", str(data), "--eta", "1e300",
+             "--epochs", "1", "--out", str(out), "--trace", str(trace)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "nncat: error: epoch 1, row 1: loss is not finite: inf\n"
+        assert captured.out == ""
+        assert not out.exists() and not trace.exists()
+
 
 class TestGradcheck:
     def args(self, mazur_file, **overrides):

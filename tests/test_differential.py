@@ -8,10 +8,12 @@ that overflows must raise the reference path's error text, with the
 layer named.  The pushback through a layer must equal
 `vec_mat(s, weights_part(t))`.  The sweep's states, signals and erosions
 must equal the ones computed from the definitions, the sigmoid's slope
-written as `(e * y) * (1 - y)`.  `train`, which steps flat entry tuples
-and calls `backprop_step` only for its last step, must equal a fold of
-`backprop_step` and `validity`: the final weights, every loss and the
-error text of a run that overflows.
+written as `(e * y) * (1 - y)`; `layer_erosion_vector` must give each
+layer's signal and `net_forward` the last state.  `train`, which steps
+flat entry tuples and calls `backprop_step` only for its last step, must
+equal a fold of `backprop_step` and `validity`: the final weights, every
+loss and the error text of a run that overflows or records a loss that
+is not finite.
 
 Networks are drawn with in_dim 0-5, every activation and mask densities
 1, 0.5 and 0.1; overflow cases use weights near 1e154 and a rate of
@@ -26,7 +28,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
 from nncat.algebra import DomainError, kleisli_apply, outer, vec_mat, weights_part
 from nncat.backprop import SgdConfig, backprop_step, train
-from nncat.backward import Gradient, _pushback_entries, masked_update, sweep
+from nncat.backward import Gradient, _pushback_entries, layer_erosion_vector, masked_update, sweep
 from nncat.loss import squared_error, validity
 from nncat.network import Network, identity_net, make_layer, net_forward
 
@@ -169,13 +171,15 @@ def test_pushback_matches_vec_mat(case, data):
 def test_sweep_follows_the_definitions(case):
     """Each state is the layer's forward step, each signal is
     `(e * y) * (1 - y)` for sigmoid and `e * deriv(z)` otherwise, and
-    each erosion is the signal times the weight columns, as bits."""
+    each erosion is the signal times the weight columns, as bits; the
+    one-layer signal and the forward pass read the same bits."""
     net, a, loss = case
     try:
         states, erosions, signals = sweep(net, a, loss.erosion)
     except DomainError:
         return
     assert bits(erosions[-1]) == bits(loss.erosion(states[-1]))
+    assert bits(net_forward(net, a)) == bits(states[-1])
     for i, layer in enumerate(net.layers):
         t = layer.transition
         z = kleisli_apply(t, states[i])
@@ -186,13 +190,15 @@ def test_sweep_follows_the_definitions(case):
         else:
             want = [ej * layer.activation.deriv(zj) for ej, zj in zip(e, z)]
         assert bits(signals[i]) == bits(want)
+        assert bits(layer_erosion_vector(layer, states[i], e)) == bits(signals[i])
         assert bits(erosions[i]) == bits(vec_mat(tuple(want), weights_part(t)))
 
 
 def reference_train(net, dataset, rate, epochs):
     """`train` as a fold of `backprop_step`, each row's loss read off the
     forward pass before its step.  Returns the network and the losses,
-    or the error text the run must raise."""
+    or the error text the run must raise: the step's, or, after a step,
+    that of a loss that is not finite."""
     losses = []
     for epoch in range(1, epochs + 1):
         for row, (x, t) in enumerate(dataset, 1):
@@ -201,7 +207,10 @@ def reference_train(net, dataset, rate, epochs):
                 stepped, _ = backprop_step(net, x, loss)
             except DomainError as exc:
                 return f"epoch {epoch}, row {row}: {exc}"
-            losses.append(validity(net_forward(net, x), loss))
+            value = validity(net_forward(net, x), loss)
+            if value == float("inf"):
+                return f"epoch {epoch}, row {row}: loss is not finite: inf"
+            losses.append(value)
             net = stepped
     return net, losses
 
@@ -229,6 +238,13 @@ def train_cases(draw):
     [((0.5,), (0.0,)), ((1e200,), (0.0,))],
     1e200,
     2,
+))
+# the step stays finite and the loss, 0.5 * 1e300 * 1e10, is not
+@example(case=(
+    Network.chain([make_layer(((1.0,),), (1e5,), IDENTITY)]),
+    [((1e-10,), (0.0,))],
+    1e300,
+    1,
 ))
 def test_train_is_a_fold_of_steps(case):
     net, dataset, rate, epochs = case

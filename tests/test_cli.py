@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -299,6 +300,18 @@ class TestGradcheck:
                 "--target", "0.3,0.6,0.1", "--eta", "0.25"]
         assert run(argv) == 0
         assert capsys.readouterr().out.count(" ok\n") == 3
+
+    def test_seeded_stdout_is_pinned(self, capsys, monkeypatch):
+        # README's seeded command; the deviations it prints pin the
+        # oracle's bits to four significant digits
+        monkeypatch.delenv("NNCAT_SEED", raising=False)
+        argv = ["gradcheck", "--seed", "42", "--input=-0.2,0.4",
+                "--target=0.3,0.6,0.1", "--eta", "0.25"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "1c8d6ad21190e59657a5f83d8ada1e475d993eca0503d46690dc73e671cf087c"
+        )
 
     def test_negative_eps_reaches_its_check(self, mazur_file, capsys):
         assert run(self.args(mazur_file, **{"--eps": "-1e-6"})) == 2

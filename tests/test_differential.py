@@ -13,11 +13,14 @@ layer's signal and `net_forward` the last state.  `train`, which steps
 flat entry tuples and calls `backprop_step` only for its last step, must
 equal a fold of `backprop_step` and `validity`: the final weights, every
 loss and the error text of a run that overflows or records a loss that
-is not finite.
+is not finite.  `fd_layer_gradient`, with the layers after it pulled
+into the loss, must equal central differences taken from the
+definitions, each entry perturbed in a whole new layer, as bits or as
+the error text.
 
-Networks are drawn with in_dim 0-5, every activation and mask densities
-1, 0.5 and 0.1; overflow cases use weights near 1e154 and a rate of
-1e300.
+Networks are drawn with in_dim 0-5 (0-6 and depth 1-4 for the finite
+differences), every activation and mask densities 1, 0.5 and 0.1;
+overflow cases use weights near 1e154 and a rate of 1e300.
 """
 
 import struct
@@ -26,11 +29,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
-from nncat.algebra import DomainError, kleisli_apply, outer, vec_mat, weights_part
+from nncat.algebra import DomainError, Mat, kleisli_apply, outer, vec_mat, weights_part
 from nncat.backprop import SgdConfig, backprop_step, train
 from nncat.backward import Gradient, _pushback_entries, layer_erosion_vector, masked_update, sweep
-from nncat.loss import squared_error, validity
-from nncat.network import Network, identity_net, make_layer, net_forward
+from nncat.loss import squared_error, transform_loss, validity
+from nncat.network import Layer, Network, identity_net, layer_forward, make_layer, net_forward
+from nncat.oracle import FdConfig, fd_layer_gradient
 
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 # P(mutable) of 1, 0.5 and 0.1
@@ -46,18 +50,18 @@ def bits(values) -> bytes:
 
 
 @st.composite
-def nets(draw):
+def nets(draw, depths=st.integers(0, 3), max_dim=5):
     """A network and whether it is an overflow case."""
     overflow = draw(st.booleans())
     scale = 1e154 if overflow else 2.0
     density = draw(st.sampled_from(sorted(FLAGS)))
     weight = st.floats(-scale, scale, allow_nan=False)
     flag = FLAGS[density]
-    in_dim = draw(st.integers(0, 5))
-    depth = draw(st.integers(0, 3))
-    widths = [in_dim] + [draw(st.integers(1, 5)) for _ in range(depth - 1)]
+    in_dim = draw(st.integers(0, max_dim))
+    depth = draw(depths)
+    widths = [in_dim] + [draw(st.integers(1, max_dim)) for _ in range(depth - 1)]
     if depth:
-        widths.append(draw(st.integers(0, 5)))
+        widths.append(draw(st.integers(0, max_dim)))
     layers = [
         make_layer(
             [[draw(weight) for _ in range(n)] for _ in range(k)],
@@ -261,3 +265,72 @@ def test_train_is_a_fold_of_steps(case):
         assert bits(got.transition.entries) == bits(ref.transition.entries)
         assert (got.mask, got.bias_mutable, got.activation) == (ref.mask, ref.bias_mutable, ref.activation)
     assert (trained.in_dim, trained.out_dim) == (want_net.in_dim, want_net.out_dim)
+
+
+def reference_fd(layer, a, rest, loss, eps):
+    """Central differences from the definitions: each entry perturbed in
+    a new, validated matrix, the whole perturbed layer and `rest` run
+    from `a` and the loss read off, entries in row-major order, up
+    before down.  Returns the gradient's entries, or the error text."""
+    t = layer.transition
+    entries = []
+    try:
+        layer_forward(layer, a)
+        for k, v in enumerate(t.entries):
+            up, down = (
+                loss.evaluate(net_forward(rest, layer_forward(Layer(
+                    Mat(t.rows, t.cols, t.entries[:k] + (w,) + t.entries[k + 1 :]),
+                    layer.activation,
+                ), a)))
+                for w in (v + eps, v - eps)
+            )
+            entries.append((up - down) / (2.0 * eps))
+        return Mat(t.rows, t.cols, tuple(entries)).entries
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def fd_cases(draw):
+    """A network of 1-4 layers, one input per layer, a loss and an eps."""
+    net, overflow = draw(nets(depths=st.integers(1, 4), max_dim=6))
+    state = st.floats(-2.0, 2.0)
+    inputs = [draw(st.tuples(*[state] * layer.in_dim)) for layer in net.layers]
+    target = draw(st.tuples(*[state] * net.out_dim))
+    loss = squared_error(target, draw(rates(overflow)))
+    return net, inputs, loss, draw(st.sampled_from((1e-6, 1e-3)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=fd_cases())
+# the second layer's pre-activation, 1.7976931348623157e308 at the cached
+# output 1, overflows only when the first layer's weight moves up
+@example(case=(
+    Network.chain([make_layer(((0.0,),), (1.0,), IDENTITY),
+                   make_layer(((1.7976931348623157e308,),), (0.0,), IDENTITY)]),
+    [(1.0,), (1.0,)],
+    squared_error((0.0,), 1.0),
+    1e-3,
+))
+# v + eps leaves the finite floats
+@example(case=(
+    Network.chain([make_layer(((1.7976931348623157e308,),), (0.0,), TANH)]),
+    [(0.5,)],
+    squared_error((0.0,), 1.0),
+    1e300,
+))
+def test_fd_layer_gradient_follows_the_definitions(case):
+    """Every layer's finite differences, with the layers after it pulled
+    into the loss, equal the definitions' as bits or as error text."""
+    net, inputs, loss, eps = case
+    for idx, (layer, a) in enumerate(zip(net.layers, inputs)):
+        rest = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
+        want = reference_fd(layer, a, rest, loss, eps)
+        pulled = transform_loss(rest, loss)
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as caught:
+                fd_layer_gradient(layer, a, pulled, FdConfig(eps=eps))
+            assert str(caught.value) == want
+            continue
+        got = fd_layer_gradient(layer, a, pulled, FdConfig(eps=eps))
+        assert bits(got.matrix.entries) == bits(want)

@@ -24,7 +24,7 @@ from .fileio import (
     write_network,
     write_trace,
 )
-from .loss import squared_error, transform_loss
+from .loss import squared_error
 from .network import Network, net_forward
 from .oracle import FdConfig, fd_layer_gradient
 from .randnet import random_network
@@ -131,7 +131,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     for idx, layer in enumerate(net.layers):
         suffix = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
         try:
-            fd = fd_layer_gradient(layer, trace.states[idx], transform_loss(suffix, loss), cfg)
+            fd = fd_layer_gradient(layer, trace.states[idx], loss, cfg, rest=suffix)
         except DomainError as exc:
             raise DomainError(f"layer {idx}: finite differences at --eps {args.eps}: {exc}") from exc
         pairs = zip(trace.gradients[idx].matrix.entries, fd.matrix.entries)

@@ -5,18 +5,28 @@ can be re-derived here from loss evaluations alone, so agreement between
 the two routes is a real check and not a tautology.  Central differences
 give O(eps^2) truncation; eps = 1e-6 balances truncation against
 round-off in 64-bit floats.
+
+`fd_layer_gradient` checks one layer of a network: `rest` carries the
+layers after it, so that it can reuse the sums a one-entry perturbation
+leaves alone.  Every sum runs left to right from 0.0, so the sum before
+the perturbed term is the unperturbed run's, and resuming it in the same
+order gives the bits of a full recomputation; the result equals that of
+the loss pulled back through `rest` with `transform_loss`, which
+evaluates the whole of `rest` for every perturbation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .activation import act_map
-from .algebra import Mat, Vec, kleisli_apply
+from .algebra import DomainError, Mat, ShapeError, Vec
 from .backward import Gradient
 from .loss import LossPredicate, validity
-from .network import Layer, layer_forward
+from .network import Layer, Network, identity_net, layer_forward
 
 
 @dataclass(frozen=True)
@@ -38,37 +48,95 @@ class FdConfig:
 
 
 def fd_layer_gradient(
-    layer: Layer, a: Vec, loss: LossPredicate, cfg: FdConfig | None = None
+    layer: Layer,
+    a: Vec,
+    loss: LossPredicate,
+    cfg: FdConfig | None = None,
+    *,
+    rest: Network | None = None,
 ) -> Gradient:
-    """Central-difference gradient of (loss after the layer) in every
-    transition entry, bias column included.
+    """Central-difference gradient of (loss after `rest` after the layer)
+    in every transition entry, bias column included.
 
-    The layer runs once; a perturbation in row j moves only output j, so
-    each evaluation recomputes that output from a new, validated one-row
-    matrix and splices it into the cached outputs.
+    `rest` is the network between the layer's output and `loss`; `None`
+    means no layers.  The result equals, bit for bit and error text for
+    error text, `fd_layer_gradient(layer, a, transform_loss(rest, loss),
+    cfg)`: both take every sum in the engine's order, left to right from
+    0.0, and an entry's error is the first one its up (v + eps) and then
+    its down (v - eps) evaluation meets.  `rest` must take the layer's
+    output and `loss` must take `rest`'s, or `ShapeError` is raised.
+
+    The layer runs once.  Perturbing entry (j, i) moves only output j,
+    so the running sums that come before the perturbed term are read
+    from the unperturbed run: row j's own sum over `a` and, for each row
+    of `rest`'s first layer, its sum over outputs 0..j-1.  Each
+    evaluation resumes those sums at the perturbed term, in the same
+    order, runs `rest`'s later layers and evaluates `loss`.  It builds
+    no matrix: a perturbed entry that is not finite raises `DomainError`
+    with the text a matrix holding it would raise.
     """
     cfg = cfg or FdConfig()
+    eps = cfg.eps
+    if rest is None:
+        rest = identity_net(layer.out_dim)
+    if rest.in_dim != layer.out_dim:
+        raise ShapeError(f"rest expects {rest.in_dim} inputs, layer emits {layer.out_dim}")
+    if loss.dim != rest.out_dim:
+        raise ShapeError(
+            f"loss of dimension {loss.dim} cannot follow a network producing {rest.out_dim}"
+        )
     t = layer.transition
-    cols = t.cols
-    cached = layer_forward(layer, a)
-    outputs = list(cached)
-
-    def value_at(j: int, row: list[float]) -> float:
-        outputs[j] = act_map(layer.activation, kleisli_apply(Mat(1, cols, tuple(row)), a))[0]
-        return validity(tuple(outputs), loss)
-
+    y = layer_forward(layer, a)
+    # the trailing 1 feeds the bias column: w * 1.0 == w, so a sum resumed
+    # over it is `_affine`'s `acc + row[-1]`, bit for bit
+    a1 = a + (1.0,)
+    y1 = y + (1.0,)
+    if rest.layers:
+        first, *later = rest.layers
+        firsts = [(row, _running_sums(row, y1)) for row in first.transition.to_rows()]
     entries = []
-    for j, y in enumerate(cached):
-        row = list(t.row(j))
+    for j in range(t.rows):
+        row = t.row(j)
+        own = _running_sums(row, a1)
+        if rest.layers:
+            heads = [(sums[j], f_row[j], f_row[j + 1 :]) for f_row, sums in firsts]
+            y_tail = y1[j + 1 :]
+        else:
+            outputs = list(y)
         for i, v in enumerate(row):
-            row[i] = v + cfg.eps
-            up = value_at(j, row)
-            row[i] = v - cfg.eps
-            down = value_at(j, row)
-            row[i] = v
-            entries.append((up - down) / (2.0 * cfg.eps))
-        outputs[j] = y
+            row_tail = row[i + 1 :]
+            a_tail = a1[i + 1 :]
+            values = []
+            for w in (v + eps, v - eps):
+                if not math.isfinite(w):
+                    raise DomainError(f"matrix entry is not finite: {w!r}")
+                z = own[i] + w * a1[i]
+                for u, x in zip(row_tail, a_tail):
+                    z += u * x
+                (yj,) = act_map(layer.activation, (z,))
+                if rest.layers:
+                    zs = []
+                    for acc, u, u_tail in heads:
+                        acc += u * yj
+                        for u, x in zip(u_tail, y_tail):
+                            acc += u * x
+                        zs.append(acc)
+                    state = act_map(first.activation, tuple(zs))
+                    for later_layer in later:
+                        state = layer_forward(later_layer, state)
+                else:
+                    outputs[j] = yj
+                    state = tuple(outputs)
+                values.append(loss.evaluate(state))
+            up, down = values
+            entries.append((up - down) / (2.0 * eps))
     return Gradient(Mat(t.rows, t.cols, tuple(entries)))
+
+
+def _running_sums(ws: Vec, xs: Vec) -> list[float]:
+    """The left-to-right sum of ws[i] * xs[i] from 0.0, as it stands
+    before each term and after the last."""
+    return list(accumulate(map(mul, ws, xs), initial=0.0))
 
 
 def fd_erosion(loss: LossPredicate, y: Vec, cfg: FdConfig | None = None) -> Vec:

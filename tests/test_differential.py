@@ -14,9 +14,9 @@ flat entry tuples and calls `backprop_step` only for its last step, must
 equal a fold of `backprop_step` and `validity`: the final weights, every
 loss and the error text of a run that overflows or records a loss that
 is not finite.  `fd_layer_gradient`, with the layers after it pulled
-into the loss, must equal central differences taken from the
-definitions, each entry perturbed in a whole new layer, as bits or as
-the error text.
+into the loss or passed as `rest`, must equal central differences taken
+from the definitions, each entry perturbed in a whole new layer, as bits
+or as the error text.
 
 Networks are drawn with in_dim 0-5 (0-6 and depth 1-4 for the finite
 differences), every activation and mask densities 1, 0.5 and 0.1;
@@ -321,16 +321,21 @@ def fd_cases(draw):
 ))
 def test_fd_layer_gradient_follows_the_definitions(case):
     """Every layer's finite differences, with the layers after it pulled
-    into the loss, equal the definitions' as bits or as error text."""
+    into the loss or passed as `rest`, equal the definitions' as bits or
+    as error text."""
     net, inputs, loss, eps = case
     for idx, (layer, a) in enumerate(zip(net.layers, inputs)):
         rest = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
         want = reference_fd(layer, a, rest, loss, eps)
+        cfg = FdConfig(eps=eps)
         pulled = transform_loss(rest, loss)
-        if isinstance(want, str):
-            with pytest.raises(DomainError) as caught:
-                fd_layer_gradient(layer, a, pulled, FdConfig(eps=eps))
-            assert str(caught.value) == want
-            continue
-        got = fd_layer_gradient(layer, a, pulled, FdConfig(eps=eps))
-        assert bits(got.matrix.entries) == bits(want)
+        for route in (
+            lambda: fd_layer_gradient(layer, a, pulled, cfg),
+            lambda: fd_layer_gradient(layer, a, loss, cfg, rest=rest),
+        ):
+            if isinstance(want, str):
+                with pytest.raises(DomainError) as caught:
+                    route()
+                assert str(caught.value) == want
+            else:
+                assert bits(route().matrix.entries) == bits(want)

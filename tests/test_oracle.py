@@ -1,15 +1,19 @@
 import random
+import struct
 
 import pytest
 
 from nncat.activation import IDENTITY, SIGMOID, SOFTPLUS, TANH
+from nncat.algebra import ShapeError
 from nncat.backward import layer_gradient
 from nncat.loss import LossPredicate, squared_error, transform_loss
-from nncat.network import make_layer
+from nncat.network import Network, identity_net, make_layer
 from nncat.oracle import FdConfig, fd_erosion, fd_layer_gradient
-from nncat.randnet import random_layer, random_state
+from nncat.randnet import random_layer, random_network, random_state
 
 from helpers import (
+    FIRST_BIAS,
+    FIRST_WEIGHTS,
     INPUT,
     SECOND_BIAS,
     SECOND_WEIGHTS,
@@ -18,6 +22,10 @@ from helpers import (
     random_loss,
     ref_forward_states,
 )
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 class TestFdConfig:
@@ -84,6 +92,39 @@ class TestFdLayerGradient:
             fine = fd_layer_gradient(layer, a, loss, FdConfig(eps=5e-7))
             for x, y in zip(coarse.matrix.entries, fine.matrix.entries):
                 assert abs(x - y) < 10 * FdConfig().tolerance
+
+
+class TestFdLayerGradientRest:
+    def test_rest_must_take_the_layer_output(self):
+        layer = make_layer(SECOND_WEIGHTS, SECOND_BIAS, SIGMOID)
+        rest = random_network(random.Random(5), 3, 2, depth=1)
+        with pytest.raises(ShapeError, match="rest expects 3 inputs, layer emits 2"):
+            fd_layer_gradient(layer, (0.3, 0.7), mazur_loss(), rest=rest)
+
+    @pytest.mark.parametrize("rest", [None, identity_net(2), mazur_network()])
+    def test_loss_must_take_the_rest_output(self, rest):
+        layer = make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID)
+        loss = squared_error((0.1, 0.2, 0.3), 0.5)
+        with pytest.raises(ShapeError, match="loss of dimension 3 cannot follow a network producing 2"):
+            fd_layer_gradient(layer, INPUT, loss, rest=rest)
+
+    def test_empty_rest_is_no_rest(self):
+        rng = random.Random(4242)
+        for activation in (SIGMOID, TANH, IDENTITY, SOFTPLUS):
+            n, k = rng.randint(0, 4), rng.randint(0, 4)
+            layer = random_layer(rng, n, k, activation)
+            a = random_state(rng, n, scale=1.0)
+            loss = random_loss(rng, k)
+            for eps in (1e-6, 1e-3):
+                cfg = FdConfig(eps=eps)
+                bare = fd_layer_gradient(layer, a, loss, cfg)
+                empty = fd_layer_gradient(layer, a, loss, cfg, rest=identity_net(k))
+                assert bits(empty.matrix.entries) == bits(bare.matrix.entries)
+
+    def test_rest_is_keyword_only(self):
+        layer = make_layer(SECOND_WEIGHTS, SECOND_BIAS, SIGMOID)
+        with pytest.raises(TypeError):
+            fd_layer_gradient(layer, (0.3, 0.7), mazur_loss(), FdConfig(), identity_net(2))
 
 
 class TestFdErosion:

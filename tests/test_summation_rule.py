@@ -1,9 +1,12 @@
-"""The engine never sums floats with the built-in `sum()` or `math.fsum`.
+"""The engine never sums floats with the built-in `sum()`, `math.fsum`
+or `math.sumprod`.
 
 Python 3.12 changed `sum()` of floats to compensated summation, so a
-call would give different bits on different interpreter versions.  The
-rule is checked on the source, so it holds on every version the suite
-runs on, not only on those where the bits would differ.
+call would give different bits on different interpreter versions.
+`math.sumprod`, new in 3.12, sums its products in extended precision, so
+a left-to-right loop rewritten with it would change the bits on 3.12
+alone.  The rule is checked on the source, so it holds on every version
+the suite runs on, not only on those where the bits would differ.
 """
 
 import ast
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import nncat
 
-FORBIDDEN = {"sum", "fsum"}
+FORBIDDEN = {"sum", "fsum", "sumprod"}
 
 
 def _called_name(call: ast.Call) -> str | None:

@@ -93,13 +93,13 @@ def fd_layer_gradient(
     y1 = y + (1.0,)
     if rest.layers:
         first, *later = rest.layers
-        firsts = [(row, _running_sums(row, y1)) for row in first.transition.to_rows()]
+        first_rows = [(row, _running_sums(row, y1)) for row in first.transition.to_rows()]
     entries = []
     for j in range(t.rows):
         row = t.row(j)
         own = _running_sums(row, a1)
         if rest.layers:
-            heads = [(sums[j], f_row[j], f_row[j + 1 :]) for f_row, sums in firsts]
+            heads = [(sums[j], f_row[j], f_row[j + 1 :]) for f_row, sums in first_rows]
             y_tail = y1[j + 1 :]
         else:
             outputs = list(y)

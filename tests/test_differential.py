@@ -279,17 +279,18 @@ def reference_fd(layer, a, rest, loss, eps):
     from `a` and the loss read off, entries in row-major order, up
     before down.  Returns the gradient's entries, or the error text."""
     t = layer.transition
+
+    def value(k, w):
+        perturbed = Mat(t.rows, t.cols, t.entries[:k] + (w,) + t.entries[k + 1 :])
+        y = layer_forward(Layer(perturbed, layer.activation), a)
+        return loss.evaluate(net_forward(rest, y))
+
     entries = []
     try:
         layer_forward(layer, a)
         for k, v in enumerate(t.entries):
-            up, down = (
-                loss.evaluate(net_forward(rest, layer_forward(Layer(
-                    Mat(t.rows, t.cols, t.entries[:k] + (w,) + t.entries[k + 1 :]),
-                    layer.activation,
-                ), a)))
-                for w in (v + eps, v - eps)
-            )
+            up = value(k, v + eps)
+            down = value(k, v - eps)
             entries.append((up - down) / (2.0 * eps))
         return Mat(t.rows, t.cols, tuple(entries)).entries
     except DomainError as exc:

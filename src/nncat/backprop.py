@@ -25,8 +25,7 @@ the one rebuild that reuses the shapes, masks and bias flags already
 checked and does not scan the entries again.  `train` holds one entry
 tuple per layer for the whole run and builds a network from them once,
 for its last step, which is `backprop_step`; no other step builds a
-matrix, layer, network or trace, or pushes an erosion back to the
-network's input.  The trace keeps the signals and builds the gradients only when
+matrix, layer, network or trace.  The trace keeps the signals and builds the gradients only when
 they are read.
 """
 
@@ -106,12 +105,11 @@ def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
 
 
 def _step(
-    net: Network, weights: list[Vec], a: Vec, erosion: ErosionFn, *, input_erosion: bool = True
+    net: Network, weights: list[Vec], a: Vec, erosion: ErosionFn
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """One step of `net` with layer i's entries read from `weights[i]`,
     which it replaces with the updated entries; returns the sweep's
-    states, erosions and signals, without e_0 when `input_erosion` is
-    false (see `sweep`).
+    states, erosions and signals.
 
     One sweep gives every layer's error signal against the entries
     before the step, so updating them in place changes no gradient.  A
@@ -119,7 +117,7 @@ def _step(
     `DomainError` naming the layer, counted from 0; the layers are
     updated, and so raise, last first.
     """
-    states, erosions, signals = sweep(net, a, erosion, weights, input_erosion=input_erosion)
+    states, erosions, signals = sweep(net, a, erosion, weights)
     for idx in range(len(weights) - 1, -1, -1):
         try:
             weights[idx] = _updated_entries(net.layers[idx], weights[idx], signals[idx], states[idx])
@@ -213,7 +211,7 @@ def train(
         for row, (x, loss) in enumerate(rows, 1):
             try:
                 if epoch < cfg.epochs or row < len(rows):
-                    states = _step(net, weights, x, loss.erosion, input_erosion=False)[0]
+                    states = _step(net, weights, x, loss.erosion)[0]
                 else:
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`

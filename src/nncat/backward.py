@@ -21,9 +21,7 @@ layer.  The sweep builds no gradient and no update: `backprop_step`
 updates each layer straight from its signal, `layer_erosion_vector` is
 the one-layer sweep's signal, `layer_gradient` is `outer` over it, and
 `erosion_transform_layer` and `erosion_transform_net` keep the erosion
-at the input.  `layer_gradient`, `layer_erosion_vector` and `train`'s
-steps before its last read no erosion at the input, so their sweeps
-skip layer 0's pushback.  The sweep checks the input's length and the output
+at the input.  The sweep checks the input's length and the output
 erosion's length once, for every caller.  Each sum starts at 0.0 and
 runs over ascending indices, the order of `vec_mat`; the affine and
 pushback loops exist once, on entry tuples (`_affine`,
@@ -99,8 +97,6 @@ def sweep(
     a: Vec,
     erosion: ErosionFn,
     weights: Sequence[Sequence[float]] | None = None,
-    *,
-    input_erosion: bool = True,
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """The forward and backward sweep of `net` at input `a`.
 
@@ -110,12 +106,9 @@ def sweep(
     themselves.  Returns the states a_0..a_m, the erosions e_0..e_m (e_m
     at the output, e_0 at the input) and the error signals s_1..s_m, one
     per layer, all against those weights.  Layer i's gradient is
-    `outer(s_i, a_(i-1) + (1.0,))`.  With `input_erosion` false, for
-    callers that read no e_0, layer 0's O(rows * cols) pushback is
-    skipped and the erosions are e_1..e_m (the empty network's e_0 is
-    its e_m and is kept).  A forward pass that leaves the finite floats
-    raises `DomainError` naming the layer, counted from 0.  Each loop
-    runs over the layers, so depth costs no stack.
+    `outer(s_i, a_(i-1) + (1.0,))`.  A forward pass that leaves the
+    finite floats raises `DomainError` naming the layer, counted from 0.
+    Each loop runs over the layers, so depth costs no stack.
     """
     if len(a) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
@@ -144,10 +137,9 @@ def sweep(
     for idx in range(len(layers) - 1, -1, -1):
         layer = layers[idx]
         s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
+        e = _pushback_entries(weights[idx], len(states[idx]) + 1, s)
         signals.append(s)
-        if idx or input_erosion:
-            e = _pushback_entries(weights[idx], len(states[idx]) + 1, s)
-            erosions.append(e)
+        erosions.append(e)
     return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))
 
 
@@ -161,7 +153,7 @@ def layer_erosion_vector(layer: Layer, a: Vec, e_out: Vec) -> Vec:
     one-layer sweep's signal: `sweep` checks both lengths, and a forward
     pass that overflows raises naming layer 0.
     """
-    return sweep(Network.chain([layer]), a, lambda _: e_out, input_erosion=False)[2][0]
+    return sweep(Network.chain([layer]), a, lambda _: e_out)[2][0]
 
 
 def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
@@ -172,7 +164,7 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     """
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
-    s = sweep(Network.chain([layer]), a, loss.erosion, input_erosion=False)[2][0]
+    s = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
     return Gradient(outer(s, a + (1.0,)))
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from nncat.activation import IDENTITY, SIGMOID, TANH
 from nncat.algebra import DomainError, Mat, ShapeError
-from nncat import backward
-from nncat.backprop import SgdConfig, backprop_step, train
+from nncat.backprop import backprop_step
 from nncat.backward import (
     Gradient,
     _erosion_vector_generic,
@@ -28,7 +27,6 @@ from helpers import (
     RATE,
     SECOND_BIAS,
     SECOND_WEIGHTS,
-    TARGET,
     TOL8,
     all_activations,
     mazur_loss,
@@ -235,39 +233,6 @@ class TestErosionTransformNet:
         x = (0.75,)
         _, trace = backprop_step(net, x, loss)
         assert transform_loss(net, loss).erosion(x) == trace.erosions[0] == (0.25,)
-
-
-class TestInputErosionSkipped:
-    """Callers that read no erosion at the input skip layer 0's pushback."""
-
-    @pytest.fixture()
-    def pushbacks(self, monkeypatch):
-        calls = []
-        real = backward._pushback_entries
-
-        def counted(entries, cols, s):
-            calls.append(cols)
-            return real(entries, cols, s)
-
-        monkeypatch.setattr(backward, "_pushback_entries", counted)
-        return calls
-
-    def test_layer_level_answers_push_nothing_back(self, pushbacks):
-        layer_gradient(second_layer(), GOLD_HIDDEN, mazur_loss())
-        layer_erosion_vector(second_layer(), GOLD_HIDDEN, (0.1, 0.2))
-        assert pushbacks == []
-
-    def test_train_pushes_back_to_the_input_only_in_its_last_step(self, pushbacks):
-        train(mazur_network(), [(INPUT, TARGET)] * 3, RATE, SgdConfig(2))
-        # one pushback through layer 1 per step, and through layer 0 only
-        # in the last step, whose trace keeps e_0
-        assert len(pushbacks) == 6 + 1
-
-    def test_erosion_transforms_still_push_back(self, pushbacks):
-        layer = second_layer()
-        erosion_transform_layer(layer, mazur_loss().erosion, GOLD_HIDDEN)
-        erosion_transform_net(mazur_network(), mazur_loss().erosion, INPUT)
-        assert len(pushbacks) == 1 + 2
 
 
 class TestMaskedUpdate:

@@ -8,9 +8,8 @@ that overflows must raise the reference path's error text, with the
 layer named.  The pushback through a layer must equal
 `vec_mat(s, weights_part(t))`.  The sweep's states, signals and erosions
 must equal the ones computed from the definitions, the sigmoid's slope
-written as `(e * y) * (1 - y)`, and without the input erosion the sweep must
-return the same less e_0; `layer_erosion_vector` must give each layer's
-signal and `net_forward` the last state.  `train`, which steps
+written as `(e * y) * (1 - y)`; `layer_erosion_vector` must give each
+layer's signal and `net_forward` the last state.  `train`, which steps
 flat entry tuples and calls `backprop_step` only for its last step, must
 equal a fold of `backprop_step` and `validity`: the final weights, every
 loss and the error text of a run that overflows or records a loss that
@@ -185,11 +184,6 @@ def test_sweep_follows_the_definitions(case):
         return
     assert bits(erosions[-1]) == bits(loss.erosion(states[-1]))
     assert bits(net_forward(net, a)) == bits(states[-1])
-    # without the input erosion, the same sweep less e_0
-    skipped = sweep(net, a, loss.erosion, input_erosion=False)
-    kept = erosions[1:] if net.layers else erosions
-    for got, want in zip(skipped, (states, kept, signals), strict=True):
-        assert [bits(v) for v in got] == [bits(v) for v in want]
     for i, layer in enumerate(net.layers):
         t = layer.transition
         z = kleisli_apply(t, states[i])

@@ -111,15 +111,15 @@ def fd_layer_gradient(
                 if not math.isfinite(w):
                     raise DomainError(f"matrix entry is not finite: {w!r}")
                 z = own[i] + w * a1[i]
-                for u, x in zip(row_tail, a_tail):
-                    z += u * x
+                for wk, x in zip(row_tail, a_tail):
+                    z += wk * x
                 (yj,) = act_map(layer.activation, (z,))
                 if rest.layers:
                     zs = []
-                    for acc, u, u_tail in heads:
-                        acc += u * yj
-                        for u, x in zip(u_tail, y_tail):
-                            acc += u * x
+                    for acc, fj, f_tail in heads:
+                        acc += fj * yj
+                        for fk, x in zip(f_tail, y_tail):
+                            acc += fk * x
                         zs.append(acc)
                     state = act_map(first.activation, tuple(zs))
                     for later_layer in later:

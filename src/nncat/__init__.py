@@ -13,10 +13,8 @@ from .activation import (
     SOFTPLUS,
     TANH,
     Activation,
-    act_deriv,
     act_deriv_map,
     act_map,
-    act_value,
     activation_from_tag,
 )
 from .algebra import (
@@ -34,7 +32,6 @@ from .algebra import (
 from .backprop import BackpropTrace, SgdConfig, backprop_step, functoriality_check, train
 from .backward import (
     Gradient,
-    erosion_transform_layer,
     erosion_transform_net,
     layer_erosion_vector,
     layer_gradient,
@@ -76,14 +73,11 @@ __all__ = [
     "ShapeError",
     "TANH",
     "Vec",
-    "act_deriv",
     "act_deriv_map",
     "act_map",
-    "act_value",
     "activation_from_tag",
     "backprop_step",
     "compose",
-    "erosion_transform_layer",
     "erosion_transform_net",
     "fd_erosion",
     "fd_layer_gradient",

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algebra import DomainError, Vec
+from .algebra import Vec, _require_finite
 
 
 @dataclass(frozen=True)
@@ -66,33 +66,16 @@ def activation_from_tag(tag: str) -> Activation:
         raise ValueError(f"unknown activation tag {tag!r} (known: {known})") from None
 
 
-def act_value(alpha: Activation, z: float) -> float:
-    if not math.isfinite(z):
-        raise DomainError(f"activation input is not finite: {z!r}")
-    return alpha.value(z)
-
-
-def act_deriv(alpha: Activation, z: float) -> float:
-    if not math.isfinite(z):
-        raise DomainError(f"activation derivative input is not finite: {z!r}")
-    return alpha.deriv(z)
-
-
-def _require_finite(z: Vec, what: str) -> None:
-    if not all(map(math.isfinite, z)):
-        bad = next(v for v in z if not math.isfinite(v))
-        raise DomainError(f"{what} is not finite: {bad!r}")
-
-
 def act_map(alpha: Activation, z: Vec) -> Vec:
     """Apply the activation to every coordinate; a non-finite coordinate
-    raises `act_value`'s error for the first one."""
+    raises "activation input is not finite" for the first one."""
     _require_finite(z, "activation input")
     return tuple(map(alpha.value, z))
 
 
 def act_deriv_map(alpha: Activation, z: Vec) -> Vec:
-    """Apply the activation's derivative to every coordinate; a non-finite
-    coordinate raises `act_deriv`'s error for the first one."""
+    """Apply the activation's derivative to every coordinate; a
+    non-finite coordinate raises "activation derivative input is not
+    finite" for the first one."""
     _require_finite(z, "activation derivative input")
     return tuple(map(alpha.deriv, z))

@@ -23,12 +23,20 @@ class DomainError(ValueError):
     """A numeric argument is outside the operation's domain (NaN/inf)."""
 
 
+def _require_finite(values: Sequence[float], what: str) -> None:
+    """The engine's one finiteness rule: raise `DomainError("<what> is
+    not finite: <v>")` for the first value v that is not finite.  A hot
+    loop may test `math.isfinite` itself and call this only on failure,
+    for the text."""
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise DomainError(f"{what} is not finite: {bad!r}")
+
+
 def vec(values: Iterable[float]) -> Vec:
     """Build a vector, rejecting non-finite entries."""
     out = tuple(float(v) for v in values)
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise DomainError(f"vector entry {i} is not finite: {v!r}")
+    _require_finite(out, "vector entry")
     return out
 
 
@@ -48,29 +56,17 @@ class Mat:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        if not all(map(math.isfinite, self.entries)):
-            bad = next(v for v in self.entries if not math.isfinite(v))
-            raise DomainError(f"matrix entry is not finite: {bad!r}")
+        _require_finite(self.entries, "matrix entry")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]], cols: int | None = None) -> "Mat":
-        """Build from a row-of-rows; `cols` disambiguates the 0-row case."""
+    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Mat":
+        """Build from a row-of-rows; no rows give the 0x0 matrix."""
         rows = [tuple(float(v) for v in r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            for j, r in enumerate(rows):
-                if len(r) != width:
-                    raise ShapeError(f"row 0 has {width} entries but row {j} has {len(r)}")
-            if cols is not None and cols != width:
-                raise ShapeError(f"declared {cols} columns but rows have {width}")
-            cols = width
-        elif cols is None:
-            cols = 0
-        return cls(len(rows), cols, tuple(v for r in rows for v in r))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, (0.0,) * (rows * cols))
+        width = len(rows[0]) if rows else 0
+        for j, r in enumerate(rows):
+            if len(r) != width:
+                raise ShapeError(f"row 0 has {width} entries but row {j} has {len(r)}")
+        return cls(len(rows), width, tuple(v for r in rows for v in r))
 
     def __getitem__(self, index: tuple[int, int]) -> float:
         j, i = index

@@ -25,8 +25,8 @@ the one rebuild that reuses the shapes, masks and bias flags already
 checked and does not scan the entries again.  `train` holds one entry
 tuple per layer for the whole run and builds a network from them once,
 for its last step, which is `backprop_step`; no other step builds a
-matrix, layer, network or trace.  The trace keeps the signals and builds the gradients only when
-they are read.
+matrix, layer, network or trace.  The trace keeps the signals and
+builds the gradients only when they are read.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import DomainError, Mat, ShapeError, Vec, outer
+from .algebra import DomainError, ShapeError, Vec, _require_finite, outer
 from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
 from .network import Layer, Network, compose, net_forward
@@ -86,12 +86,13 @@ def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
     """`masked_update` of `Gradient(outer(s, a + (1,)))` on the layer's
     row-major `entries`, bit for bit, without building the gradient:
     each mutable entry becomes w - s_j * (a, 1)_i, each frozen one stays
-    w.  A product or a result that is not finite raises the error the
-    gradient matrix or the updated matrix would have raised."""
+    w.  The first product, then the first result, that is not finite
+    raises the error the gradient matrix, then the updated matrix, would
+    have raised."""
     inp = a + (1.0,)
     if not _products_finite(s, inp):
-        # raises the gradient matrix's own error, unless it has no entries
-        outer(s, inp)
+        # raises unless there are no products
+        _require_finite([sj * ai for sj in s for ai in inp], "matrix entry")
     cols = len(inp)
     new = [
         w - sj * ai if f else w
@@ -99,8 +100,7 @@ def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
         for w, ai, f in zip(entries[k : k + cols], inp, mrow + (b,))
     ]
     if not all(map(math.isfinite, new)):
-        # raises the updated matrix's own error
-        Mat(len(s), cols, tuple(new))
+        _require_finite(new, "matrix entry")
     return tuple(new)
 
 
@@ -218,10 +218,10 @@ def train(
                     # times `backprop_step` on every workload.
                     net, trace = backprop_step(net._with_weights(weights), x, loss)
                     states = trace.states
+                value = validity(states[-1], loss)
+                if not math.isfinite(value):
+                    _require_finite((value,), "loss")
             except DomainError as exc:
                 raise DomainError(f"epoch {epoch}, row {row}: {exc}") from exc
-            value = validity(states[-1], loss)
-            if not math.isfinite(value):
-                raise DomainError(f"epoch {epoch}, row {row}: loss is not finite: {value!r}")
             losses.append(value)
     return net, losses

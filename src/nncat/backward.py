@@ -20,11 +20,12 @@ step.  A forward pass that leaves the finite floats raises naming the
 layer.  The sweep builds no gradient and no update: `backprop_step`
 updates each layer straight from its signal, `layer_erosion_vector` is
 the one-layer sweep's signal, `layer_gradient` is `outer` over it, and
-`erosion_transform_layer` and `erosion_transform_net` keep the erosion
-at the input.  The sweep checks the input's length and the output
-erosion's length once, for every caller.  Each sum starts at 0.0 and
-runs over ascending indices, the order of `vec_mat`; the affine and
-pushback loops exist once, on entry tuples (`_affine`,
+`erosion_transform_net` keeps the erosion at the input.  The sweep
+checks the input's length and the output erosion's length once, for
+every caller, and each pre-activation once, in the forward pass, so the
+backward pass maps the activation's derivative unchecked.  Each sum
+starts at 0.0 and runs over ascending indices, the order of `vec_mat`;
+the affine and pushback loops exist once, on entry tuples (`_affine`,
 `_pushback_entries`), and `kleisli_apply` is the affine loop's
 shape-checked wrapper, so the sweep agrees with it bit for bit.
 
@@ -72,7 +73,7 @@ def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
     if layer.activation.tag == "sigmoid":
         # the slope y * (1 - y) comes from the cached output
         return tuple([(e * v) * (1.0 - v) for e, v in zip(e_out, y)])
-    return tuple([e * d for e, d in zip(e_out, act_deriv_map(layer.activation, z))])
+    return tuple([e * d for e, d in zip(e_out, map(layer.activation.deriv, z))])
 
 
 def _pushback_entries(entries: Sequence[float], cols: int, s: Vec) -> Vec:
@@ -166,15 +167,6 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
     s = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
     return Gradient(outer(s, a + (1.0,)))
-
-
-def erosion_transform_layer(layer: Layer, erosion: ErosionFn, x: Vec) -> Vec:
-    """Turn an erosion on the layer's outputs into one on its inputs.
-
-    The error signal at x is pushed through the weight columns (the bias
-    column does not depend on the input and drops out).
-    """
-    return sweep(Network.chain([layer]), x, erosion)[1][0]
 
 
 def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:

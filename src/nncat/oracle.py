@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul
 
 from .activation import act_map
-from .algebra import DomainError, Mat, ShapeError, Vec
+from .algebra import Mat, ShapeError, Vec, _require_finite
 from .backward import Gradient
 from .loss import LossPredicate, validity
 from .network import Layer, Network, identity_net, layer_forward
@@ -39,8 +39,11 @@ class FdConfig:
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
+        # the central difference divides by 2 * eps
+        if not math.isfinite(2.0 * self.eps):
+            raise ValueError(f"eps must leave 2 * eps finite, got {self.eps!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
     def close(self, x: float, y: float) -> bool:
         """Mixed absolute/relative: |x - y| <= tolerance * max(1, |x|, |y|)."""
@@ -109,7 +112,7 @@ def fd_layer_gradient(
             values = []
             for w in (v + eps, v - eps):
                 if not math.isfinite(w):
-                    raise DomainError(f"matrix entry is not finite: {w!r}")
+                    _require_finite((w,), "matrix entry")
                 z = own[i] + w * a1[i]
                 for wk, x in zip(row_tail, a_tail):
                     z += wk * x

@@ -34,7 +34,7 @@ class TestVec:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^vector entry is not finite: {bad!r}$"):
             vec((1.0, bad))
 
 
@@ -61,8 +61,20 @@ class TestMat:
             Mat(1, 3, (1.0, float("-inf"), float("nan")))
 
     def test_degenerate_shapes(self):
-        assert Mat.from_rows([], cols=3).rows == 0
+        empty = Mat.from_rows([])
+        assert (empty.rows, empty.cols) == (0, 0)
+        assert Mat(0, 3, ()).cols == 3
         assert Mat.from_rows([(), ()]).cols == 0
+
+    def test_negative_dimensions_rejected(self):
+        with pytest.raises(ShapeError, match=r"^negative dimensions -1x2$"):
+            Mat(-1, 2, ())
+
+    @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0)])
+    def test_index_out_of_range(self, index):
+        m = Mat.from_rows([(1, 2, 3), (4, 5, 6)])
+        with pytest.raises(ShapeError, match=r"outside 2x3$"):
+            m[index]
 
 
 class TestKleisliApply:
@@ -72,7 +84,7 @@ class TestKleisliApply:
         assert z == pytest.approx((0.3775, 0.3925), abs=1e-15)
 
     def test_zero_matrix(self):
-        assert kleisli_apply(Mat.zeros(2, 3), (7.0, -3.0)) == (0.0, 0.0)
+        assert kleisli_apply(Mat(2, 3, (0.0,) * 6), (7.0, -3.0)) == (0.0, 0.0)
 
     def test_identity_weights_plus_bias(self):
         t = Mat.from_rows([(1, 0, 5), (0, 1, 5)])
@@ -80,7 +92,7 @@ class TestKleisliApply:
 
     def test_shape_error_names_both_dimensions(self):
         with pytest.raises(ShapeError, match=r"2x3.*length 3"):
-            kleisli_apply(Mat.zeros(2, 3), (1.0, 2.0, 3.0))
+            kleisli_apply(Mat(2, 3, (0.0,) * 6), (1.0, 2.0, 3.0))
 
     def test_matches_direct_summation(self):
         # same arithmetic order as the implementation contract:
@@ -202,7 +214,7 @@ class TestVecMat:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            vec_mat((1.0,), Mat.zeros(2, 2))
+            vec_mat((1.0,), Mat(2, 2, (0.0,) * 4))
 
     def test_matches_direct_summation(self):
         rng = random.Random(4004)

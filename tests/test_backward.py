@@ -8,7 +8,6 @@ from nncat.backprop import backprop_step
 from nncat.backward import (
     Gradient,
     _erosion_vector_generic,
-    erosion_transform_layer,
     erosion_transform_net,
     layer_erosion_vector,
     layer_gradient,
@@ -95,6 +94,10 @@ class TestLayerGradient:
                     RATE * DISPLAYED_GRAD_SECOND[j][i], abs=TOL8
                 )
 
+    def test_loss_of_wrong_dimension(self):
+        with pytest.raises(ShapeError, match=r"^loss of dimension 3 vs layer output 2$"):
+            layer_gradient(second_layer(), (0.5, 0.5), squared_error((0.0, 0.0, 0.0), 1.0))
+
     def test_zero_gradient_at_loss_minimum(self):
         layer = second_layer()
         a = (0.4, 0.6)
@@ -146,7 +149,7 @@ class TestErosionTransformLayer:
         # frozen from the finite-difference derivative, checked again here
         _, b, _ = ref_forward_states()
         loss = mazur_loss()
-        got = erosion_transform_layer(second_layer(), loss.erosion, b)
+        got = erosion_transform_net(Network.chain([second_layer()]), loss.erosion, b)
         assert got == pytest.approx((0.01817515, 0.02068516), abs=TOL8)
 
         eps = 1e-6
@@ -166,8 +169,8 @@ class TestErosionTransformLayer:
         assert got == pytest.approx(tuple(fd), abs=1e-5)
 
     def test_zero_erosion(self):
-        got = erosion_transform_layer(
-            second_layer(), lambda y: (0.0, 0.0), (0.3, 0.7)
+        got = erosion_transform_net(
+            Network.chain([second_layer()]), lambda y: (0.0, 0.0), (0.3, 0.7)
         )
         assert got == (0.0, 0.0)
 
@@ -175,7 +178,7 @@ class TestErosionTransformLayer:
         layer = make_layer(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), IDENTITY)
         erosion = squared_error((0.2, -0.4), 1.5).erosion
         x = (0.9, -0.1)
-        assert erosion_transform_layer(layer, erosion, x) == erosion(x)
+        assert erosion_transform_net(Network.chain([layer]), erosion, x) == erosion(x)
 
 
 class TestErosionTransformNet:
@@ -188,17 +191,6 @@ class TestErosionTransformNet:
     def test_erosion_length_checked(self, net):
         with pytest.raises(ShapeError, match="erosion has length 1, network emits 2"):
             erosion_transform_net(net, lambda y: (1.0,), (0.0, 0.0))
-
-    def test_single_layer_matches_layer_version(self):
-        rng = random.Random(1616)
-        for _ in range(10):
-            layer = random_layer(rng, rng.randint(1, 4), rng.randint(1, 4))
-            net = Network.chain([layer])
-            erosion = random_loss(rng, layer.out_dim).erosion
-            x = random_state(rng, layer.in_dim)
-            assert erosion_transform_net(net, erosion, x) == erosion_transform_layer(
-                layer, erosion, x
-            )
 
     def test_worked_example_against_finite_differences(self):
         net = mazur_network()
@@ -262,7 +254,7 @@ class TestMaskedUpdate:
 
     def test_zero_gradient_leaves_layer_unchanged(self):
         layer = second_layer()
-        g = Gradient(Mat.zeros(2, 3))
+        g = Gradient(Mat(2, 3, (0.0,) * 6))
         assert masked_update(layer, g) == layer
 
     def test_frozen_entries_bitwise_mutable_change_by_gradient(self):
@@ -290,7 +282,7 @@ class TestMaskedUpdate:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            masked_update(second_layer(), Gradient(Mat.zeros(2, 2)))
+            masked_update(second_layer(), Gradient(Mat(2, 2, (0.0,) * 4)))
 
 
 class TestCompositeGradient:

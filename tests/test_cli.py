@@ -317,6 +317,27 @@ class TestGradcheck:
         assert run(self.args(mazur_file, **{"--eps": "-1e-6"})) == 2
         assert "eps must be > 0, got -1e-06" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["inf", "1e308"])
+    def test_eps_whose_double_overflows_is_usage_error(self, capsys, monkeypatch, eps):
+        # README's seeded command; the message blames --eps, not a weight
+        monkeypatch.delenv("NNCAT_SEED", raising=False)
+        argv = ["gradcheck", "--seed", "42", "--input=-0.2,0.4",
+                "--target=0.3,0.6,0.1", "--eta", "0.25", "--eps", eps]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"nncat: error: eps must leave 2 * eps finite, got {float(eps)!r}\n"
+        )
+
+    def test_network_without_layers_has_nothing_to_check(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        write_network(path, identity_net(2))
+        argv = ["gradcheck", "--net", str(path), "--input", "0.05,0.1",
+                "--target", "0.01,0.99", "--eta", "0.5"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "network has no layers; nothing to check\n"
+
     def test_abbreviated_option_takes_minus_value(self, capsys):
         tail = ["--target", "0.3,0.6,0.1", "--eta", "0.25"]
         assert run(["gradcheck", "--seed", "42", "--input=-0.2,0.4", *tail]) == 0

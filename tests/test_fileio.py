@@ -104,6 +104,11 @@ class TestNetworkParsing:
         with pytest.raises(FileFormatError, match="in_dim"):
             parse_network('{"layers": []}')
 
+    def test_zero_row_first_layer_needs_in_dim(self):
+        text = '{"layers": [{"weights": [], "bias": [], "activation": "tanh"}]}'
+        with pytest.raises(FileFormatError, match="layer 0: zero-row weights need a declared"):
+            parse_network(text)
+
     def test_weight_bias_length_mismatch(self):
         doc = self.base_doc()
         doc["layers"][0]["bias"] = [0.35]

@@ -56,6 +56,12 @@ class TestSquaredError:
         with pytest.raises(ShapeError):
             loss.erosion((1.0, 2.0, 3.0))
 
+    def test_evaluator_checks_length_itself(self):
+        # `validity` checks first; a direct call meets the evaluator's own check
+        loss = squared_error((0.1, 0.2), 0.5)
+        with pytest.raises(ShapeError, match=r"^loss expects 2 values, got 1$"):
+            loss.evaluate((1.0,))
+
 
 class TestTransformLoss:
     def test_identity_network_is_no_op(self):

@@ -39,6 +39,19 @@ class TestFdConfig:
         with pytest.raises(ValueError):
             FdConfig(**kwargs)
 
+    @pytest.mark.parametrize("eps", [float("inf"), 1e308, float("nan")])
+    def test_rejects_eps_whose_double_is_not_finite(self, eps):
+        with pytest.raises(ValueError, match=r"^eps must"):
+            FdConfig(eps=eps)
+
+    def test_large_eps_with_finite_double_accepted(self):
+        assert FdConfig(eps=8e307).eps == 8e307
+
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match=r"^tolerance must be finite and > 0, got "):
+            FdConfig(tolerance=tolerance)
+
     def test_mixed_comparison(self):
         cfg = FdConfig(tolerance=1e-3)
         # absolute branch around small values

@@ -16,17 +16,23 @@ discipline is what makes the step compose: stepping a concatenated
 network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
-The step works on flat, row-major entry tuples, one per layer: `_step`
-sweeps against them and replaces each, from the last layer to the
-first, with its updated entries, checking once that every product and
-every new entry is finite.  `backprop_step` reads the entries off its
-network and rebuilds it from the new ones with `Network._with_weights`,
-the one rebuild that reuses the shapes, masks and bias flags already
-checked and does not scan the entries again.  `train` holds one entry
-tuple per layer for the whole run and builds a network from them once,
-for its last step, which is `backprop_step`; no other step builds a
-matrix, layer, network or trace.  The trace keeps the signals and
-builds the gradients only when they are read.
+The step works on each layer's weights as a flat, row-major entry
+tuple or, for a layer with at least `WIDE_SIDE` rows and columns when
+numpy can be imported, as an array for its numpy kernels,
+`_vectorized.ArrayKernels`, which give the same bits.  The kernels
+replace the layer's only O(rows * cols) work, the affine map, the
+pushback and the masked update; `_step` shares the rest: it
+sweeps against the weights and replaces each, from the last layer to
+the first, with its updated weights, checking once that every product
+and every new entry is finite.  `backprop_step` loads the weights from
+its network's entries and rebuilds it from the stored new ones with
+`Network._with_weights`, the one rebuild that reuses the shapes, masks
+and bias flags already checked and does not scan the entries again.
+`train` loads the weights once and holds them for the whole run, and
+builds a network from them once, for its last step, which is
+`backprop_step`; no other step builds a matrix, layer, network or
+trace.  The trace keeps the signals and builds the gradients only when
+they are read.
 """
 
 from __future__ import annotations
@@ -34,12 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .algebra import DomainError, ShapeError, Vec, _require_finite, outer
 from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
 from .network import Layer, Network, compose, net_forward
+
+if TYPE_CHECKING:
+    from ._vectorized import ArrayKernels
 
 
 @dataclass(frozen=True)
@@ -82,17 +91,60 @@ def _products_finite(s: Vec, inp: Vec) -> bool:
     )
 
 
-def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
-    """`masked_update` of `Gradient(outer(s, a + (1,)))` on the layer's
-    row-major `entries`, bit for bit, without building the gradient:
-    each mutable entry becomes w - s_j * (a, 1)_i, each frozen one stays
-    w.  The first product, then the first result, that is not finite
-    raises the error the gradient matrix, then the updated matrix, would
-    have raised."""
-    inp = a + (1.0,)
-    if not _products_finite(s, inp):
-        # raises unless there are no products
-        _require_finite([sj * ai for sj in s for ai in inp], "matrix entry")
+# A layer whose transition has at least this many rows and at least this
+# many columns steps on the numpy kernels, when numpy can be imported.
+# The affine loop makes one numpy call per column and the pushback one
+# per row, so the shorter side decides whether they pay: a 1 x 601 layer
+# steps at half the pure speed on numpy.  Square layers start to win at
+# width 16 (1.1x per `backprop_step`, 1.4x per `train` step; 0.9x and
+# 1.1x at width 12; Python 3.11, numpy 2.4, 2-vCPU VM), but nets whose
+# layers are at most 16 x 17 must never import numpy, which costs more
+# than their whole run.
+WIDE_SIDE = 17
+
+# the `_vectorized` module once the first wide layer has tried to import
+# it, or False if numpy is missing: a failed import is not cached by
+# Python and would search the path again on every step
+_vectorized: Any = None
+
+
+def _kernels(net: Network) -> list[ArrayKernels | None]:
+    """Each layer's numpy kernels, `_vectorized.ArrayKernels`, for a
+    layer with at least `WIDE_SIDE` rows and columns when numpy can be
+    imported; None, for the pure kernels, otherwise."""
+    global _vectorized
+    kernels = []
+    for layer in net.layers:
+        t = layer.transition
+        wide = min(t.rows, t.cols) >= WIDE_SIDE
+        if wide and _vectorized is None:
+            try:
+                from . import _vectorized as module
+            except ImportError:
+                module = False
+            _vectorized = module
+        kernels.append(_vectorized.ArrayKernels(layer) if wide and _vectorized else None)
+    return kernels
+
+
+def _loaded(net: Network, kernels: Sequence[ArrayKernels | None]) -> list[Any]:
+    """Each layer's weights as its kernels hold them."""
+    return [
+        layer.transition.entries if k is None else k.load(layer.transition.entries)
+        for layer, k in zip(net.layers, kernels)
+    ]
+
+
+def _stored(weights: Sequence[Any], kernels: Sequence[ArrayKernels | None]) -> list[Vec]:
+    """Each layer's weights as a row-major entry tuple."""
+    return [w if k is None else k.store(w) for w, k in zip(weights, kernels)]
+
+
+def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
+    """The pure update of the layer's row-major `entries`: each mutable
+    entry becomes w - s_j * inp_i, each frozen one stays w.  The first
+    new entry that is not finite raises the error the updated matrix
+    would have raised."""
     cols = len(inp)
     new = [
         w - sj * ai if f else w
@@ -105,22 +157,38 @@ def _updated_entries(layer: Layer, entries: Vec, s: Vec, a: Vec) -> Vec:
 
 
 def _step(
-    net: Network, weights: list[Vec], a: Vec, erosion: ErosionFn
+    net: Network,
+    weights: list[Any],
+    kernels: Sequence[ArrayKernels | None],
+    a: Vec,
+    erosion: ErosionFn,
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    """One step of `net` with layer i's entries read from `weights[i]`,
-    which it replaces with the updated entries; returns the sweep's
-    states, erosions and signals.
+    """One step of `net` with layer i's weights `weights[i]`, an array of
+    its numpy kernels `kernels[i]` or, where that is None, its row-major
+    entry tuple; each is replaced with the updated weights.  Returns the
+    sweep's states, erosions and signals.
 
-    One sweep gives every layer's error signal against the entries
+    One sweep gives every layer's error signal against the weights
     before the step, so updating them in place changes no gradient.  A
-    forward pass or an update that leaves the finite floats raises
-    `DomainError` naming the layer, counted from 0; the layers are
-    updated, and so raise, last first.
+    layer's update is `masked_update` of `Gradient(outer(s, a + (1,)))`,
+    bit for bit, without building the gradient.  The first product, then
+    the first new entry, that is not finite raises the error the gradient
+    matrix, then the updated matrix, would have raised.  A forward pass
+    or an update that leaves the finite floats raises `DomainError`
+    naming the layer, counted from 0; the layers are updated, and so
+    raise, last first.
     """
-    states, erosions, signals = sweep(net, a, erosion, weights)
+    states, erosions, signals = sweep(net, a, erosion, weights, kernels)
     for idx in range(len(weights) - 1, -1, -1):
+        s, inp, k = signals[idx], states[idx] + (1.0,), kernels[idx]
         try:
-            weights[idx] = _updated_entries(net.layers[idx], weights[idx], signals[idx], states[idx])
+            if not _products_finite(s, inp):
+                # raises unless there are no products
+                _require_finite([sj * ai for sj in s for ai in inp], "matrix entry")
+            if k is None:
+                weights[idx] = _updated_entries(net.layers[idx], weights[idx], s, inp)
+            else:
+                weights[idx] = k.update(weights[idx], s, inp)
         except DomainError as exc:
             raise DomainError(f"{exc} (layer {idx})") from exc
     return states, erosions, signals
@@ -138,9 +206,10 @@ def backprop_step(
     """
     if loss.dim != net.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
-    weights = [layer.transition.entries for layer in net.layers]
-    trace = BackpropTrace(*_step(net, weights, a, loss.erosion))
-    return net._with_weights(weights), trace
+    kernels = _kernels(net)
+    weights = _loaded(net, kernels)
+    trace = BackpropTrace(*_step(net, weights, kernels, a, loss.erosion))
+    return net._with_weights(_stored(weights, kernels)), trace
 
 
 def functoriality_check(
@@ -204,19 +273,22 @@ def train(
             )
 
     # built only when a step reads them, so 0 epochs still accept any rate > 0
+    # and load no weights
     rows = [(x, squared_error(t, rate)) for x, t in dataset] if cfg.epochs else []
-    weights = [layer.transition.entries for layer in net.layers]
+    kernels = _kernels(net) if cfg.epochs else []
+    weights = _loaded(net, kernels)
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         for row, (x, loss) in enumerate(rows, 1):
             try:
                 if epoch < cfg.epochs or row < len(rows):
-                    states = _step(net, weights, x, loss.erosion)[0]
+                    states = _step(net, weights, kernels, x, loss.erosion)[0]
                 else:
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`
                     # times `backprop_step` on every workload.
-                    net, trace = backprop_step(net._with_weights(weights), x, loss)
+                    last = net._with_weights(_stored(weights, kernels))
+                    net, trace = backprop_step(last, x, loss)
                     states = trace.states
                 value = validity(states[-1], loss)
                 if not math.isfinite(value):

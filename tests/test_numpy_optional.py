@@ -1,0 +1,78 @@
+"""numpy is optional and imported only when a wide layer steps.
+
+`import nncat` must not import numpy, and neither may training the
+Mazur net or checking the gradients of an 8-16-16-8 net: importing
+numpy costs a short run more time and memory than its whole step.  So
+the import happens inside the kernel choice, and `backprop.WIDE_SIDE`
+keeps every layer of those nets, at most 16 x 17, on the pure kernels.
+Without numpy, a wide layer steps on the pure kernels too.  Neither
+test needs numpy installed.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from nncat import backprop
+from nncat.loss import squared_error
+from nncat.network import Network
+from nncat.randnet import random_layer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SMALL_NETS = """
+import random, sys
+import nncat
+from nncat import cli, demo, fileio
+from nncat.network import Network
+from nncat.randnet import random_layer
+
+assert "numpy" not in sys.modules, "import nncat"
+net, losses = nncat.train(
+    demo.mazur_network(), [(demo.INPUT, demo.TARGET)] * 3, 0.5, nncat.SgdConfig(epochs=20)
+)
+assert "numpy" not in sys.modules, "train"
+rng = random.Random(5)
+dims = (8, 16, 16, 8)
+fileio.write_network(
+    sys.argv[1],
+    Network.chain([random_layer(rng, n, k, mask_density=0.9) for n, k in zip(dims, dims[1:])]),
+)
+rc = cli.main([
+    "gradcheck", "--net", sys.argv[1], "--input", ",".join(["0.5"] * 8),
+    "--target", ",".join(["0.25"] * 8), "--eta", "0.1",
+])
+assert rc == 0, rc
+assert "numpy" not in sys.modules, "gradcheck"
+"""
+
+
+def test_small_nets_never_import_numpy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", SMALL_NETS, str(tmp_path / "net.json")],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
+    rng = random.Random(2)
+    side = backprop.WIDE_SIDE
+    net = Network.chain([random_layer(rng, side, side, mask_density=0.5)])
+    x, loss = (0.5,) * side, squared_error((0.25,) * side, 0.1)
+    monkeypatch.setattr(backprop, "WIDE_SIDE", 10**9)
+    want, _ = backprop.backprop_step(net, x, loss)
+
+    monkeypatch.setattr(backprop, "WIDE_SIDE", side)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setitem(sys.modules, "nncat._vectorized", None)
+    monkeypatch.delattr("nncat._vectorized", raising=False)
+    monkeypatch.setattr(backprop, "_vectorized", None)
+    assert backprop._kernels(net) == [None]
+    assert backprop._vectorized is False
+    got, _ = backprop.backprop_step(net, x, loss)
+    assert got == want

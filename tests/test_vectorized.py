@@ -1,0 +1,266 @@
+"""The numpy kernels against the pure ones, bit for bit.
+
+A layer with at least `backprop.WIDE_SIDE` rows and columns steps on
+`_vectorized.ArrayKernels` when numpy can be imported; every other
+layer steps on the pure kernels, the reference: `algebra._affine`,
+`backward._pushback_entries` and `backprop._updated_entries`.  Both
+must give the same floats, compared as IEEE 754 bits: the updated
+weights and the
+step's states, erosions and signals, or the same `DomainError` text,
+naming the same layer.  The tests reach each path by setting
+`WIDE_SIDE`: 0 sends every layer to numpy, a size above every layer's
+keeps them all pure.  Every numpy kernel runs with warnings as errors,
+so an overflow that numpy reported as a `RuntimeWarning` would fail.
+
+Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
+every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
+weights near 1e154 and a rate of 1e300.
+"""
+
+import random
+import struct
+import warnings
+
+import pytest
+
+np = pytest.importorskip("numpy")
+
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from nncat import backprop  # noqa: E402
+from nncat._vectorized import ArrayKernels  # noqa: E402
+from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
+from nncat.algebra import DomainError, _affine  # noqa: E402
+from nncat.backward import _pushback_entries  # noqa: E402
+from nncat.loss import squared_error, validity  # noqa: E402
+from nncat.network import Network, make_layer, net_forward  # noqa: E402
+from nncat.randnet import random_layer, random_state  # noqa: E402
+
+ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
+ALL_NUMPY = 0
+ALL_PURE = 10**9
+WIDE = backprop.WIDE_SIDE
+FLAGS = {
+    1.0: st.just(True),
+    0.5: st.booleans(),
+    0.1: st.sampled_from((True,) + (False,) * 9),
+}
+
+
+@pytest.fixture(autouse=True)
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def step(net, a, loss, side):
+    """`backprop_step` with `WIDE_SIDE` set to `side`: the new weights,
+    states, erosions and signals as bits, or the error text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backprop, "WIDE_SIDE", side)
+        try:
+            stepped, trace = backprop.backprop_step(net, a, loss)
+        except DomainError as exc:
+            return str(exc)
+    return (
+        [bits(layer.transition.entries) for layer in stepped.layers],
+        [bits(v) for v in trace.states],
+        [bits(v) for v in trace.erosions],
+        [bits(v) for v in trace.signals],
+    )
+
+
+@st.composite
+def step_cases(draw):
+    overflow = draw(st.booleans())
+    scale = 1e154 if overflow else 2.0
+    weight = st.floats(-scale, scale, allow_nan=False)
+    flag = FLAGS[draw(st.sampled_from(sorted(FLAGS)))]
+    widths = [draw(st.integers(0, 5))] + [
+        draw(st.integers(0, 5)) for _ in range(draw(st.integers(1, 3)))
+    ]
+    net = Network.chain(
+        [
+            make_layer(
+                [[draw(weight) for _ in range(n)] for _ in range(k)],
+                [draw(weight) for _ in range(k)],
+                draw(st.sampled_from(ACTS)),
+                tuple(tuple(draw(flag) for _ in range(n)) for _ in range(k)),
+                tuple(draw(flag) for _ in range(k)),
+                in_dim=n,
+            )
+            for n, k in zip(widths, widths[1:])
+        ]
+    )
+    state = st.floats(-2.0, 2.0)
+    a = draw(st.tuples(*[state] * net.in_dim))
+    target = draw(st.tuples(*[state] * net.out_dim))
+    rate = 1e300 if overflow else draw(st.floats(0.0, 2.0))
+    return net, a, squared_error(target, rate)
+
+
+# 3 puts the layers with at least 3 rows and columns on numpy and
+# leaves the rest pure, so one step mixes both kinds of kernel
+@pytest.mark.parametrize("side", [ALL_NUMPY, 3])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=step_cases())
+def test_numpy_step_equals_pure_step(side, case):
+    net, a, loss = case
+    assert step(net, a, loss, side) == step(net, a, loss, ALL_PURE)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_kernels_equal_pure_kernels(data):
+    """Each kernel on its own, with weights that overflow as often as
+    not; the update subtracts wherever the products are finite."""
+    rows, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    scale = data.draw(st.sampled_from([2.0, 1e154, 1.7e308]))
+    value = st.floats(-scale, scale, allow_nan=False)
+    flag = FLAGS[data.draw(st.sampled_from(sorted(FLAGS)))]
+    layer = make_layer(
+        [[data.draw(value) for _ in range(n)] for _ in range(rows)],
+        [data.draw(value) for _ in range(rows)],
+        IDENTITY,
+        tuple(tuple(data.draw(flag) for _ in range(n)) for _ in range(rows)),
+        tuple(data.draw(flag) for _ in range(rows)),
+        in_dim=n,
+    )
+    x = tuple(data.draw(value) for _ in range(n))
+    s = tuple(data.draw(value) for _ in range(rows))
+    entries = layer.transition.entries
+    vectorized = ArrayKernels(layer)
+    weights = vectorized.load(entries)
+    assert bits(vectorized.store(weights)) == bits(entries)
+    assert bits(vectorized.affine(weights, x)) == bits(_affine(entries, x))
+    assert bits(vectorized.pushback(weights, s)) == bits(_pushback_entries(entries, n + 1, s))
+    inp = x + (1.0,)
+    if not backprop._products_finite(s, inp):
+        return
+    try:
+        want = backprop._updated_entries(layer, entries, s, inp)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as caught:
+            vectorized.update(weights, s, inp)
+        assert str(caught.value) == str(exc)
+        return
+    assert bits(vectorized.store(vectorized.update(weights, s, inp))) == bits(want)
+
+
+def wide_net(rng, dims, density, weight_scale=None):
+    """A chain of random layers through `dims`: sigmoid, tanh and
+    identity in turn."""
+    acts = (SIGMOID, TANH, IDENTITY)
+    return Network.chain(
+        [
+            random_layer(
+                rng, n, k, acts[i % 3],
+                weight_scale=weight_scale or n ** -0.5, mask_density=density,
+            )
+            for i, (n, k) in enumerate(zip(dims, dims[1:]))
+        ]
+    )
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.1])
+def test_widths_on_both_sides_of_the_constant(density):
+    """The real constant: layers with WIDE_SIDE rows and columns take
+    the numpy kernels, a layer with one row fewer stays pure, and three
+    chained steps equal three pure steps."""
+    rng = random.Random(7)
+    net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), density)
+    chosen = [isinstance(k, ArrayKernels) for k in backprop._kernels(net)]
+    assert chosen == [True, False, True]
+    for _ in range(3):
+        a, target = random_state(rng, WIDE, 1.0), random_state(rng, WIDE, 0.9)
+        loss = squared_error(target, 0.1)
+        assert step(net, a, loss, WIDE) == step(net, a, loss, ALL_PURE)
+        net, _ = backprop.backprop_step(net, a, loss)
+
+
+def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
+    rng = random.Random(11)
+    net = wide_net(rng, (WIDE + 3, WIDE + 1, WIDE + 2), 0.9)
+    dataset = [
+        (random_state(rng, WIDE + 3, 1.0), random_state(rng, WIDE + 2, 0.9)) for _ in range(3)
+    ]
+    assert all(isinstance(k, ArrayKernels) for k in backprop._kernels(net))
+    trained, losses = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
+
+    monkeypatch.setattr(backprop, "WIDE_SIDE", ALL_PURE)
+    folded, want = net, []
+    for _ in range(2):
+        for x, t in dataset:
+            loss = squared_error(t, 0.25)
+            want.append(validity(net_forward(folded, x), loss))
+            folded, _ = backprop.backprop_step(folded, x, loss)
+    assert bits(losses) == bits(want)
+    for got, ref in zip(trained.layers, folded.layers, strict=True):
+        assert bits(got.transition.entries) == bits(ref.transition.entries)
+
+
+def uniform_net(scales):
+    """Identity layers of width WIDE_SIDE, every weight of layer i equal
+    to `scales[i]` and every bias 0."""
+    return Network.chain(
+        [make_layer([[c] * WIDE for _ in range(WIDE)], [0.0] * WIDE, IDENTITY) for c in scales]
+    )
+
+
+@pytest.mark.parametrize(
+    "scales, rate, layer",
+    [
+        # the pushback 20 * 4e202 * 1e200 overflows: layer 0 only
+        ((1e-200, 1e200), 1e200, 0),
+        # the products 4e196 * 2e155 overflow: layer 1 only
+        ((1e154, 1e-160), 1e200, 1),
+        # the output erosion 1e300 * 2e11 overflows: both layers, and
+        # layer 1 updates first
+        ((5e8, 1.0), 1e300, 1),
+    ],
+)
+def test_an_overflowing_wide_step_raises_the_pure_text(scales, rate, layer):
+    net, a, loss = uniform_net(scales), (1.0,) * WIDE, squared_error((0.0,) * WIDE, rate)
+    got = step(net, a, loss, WIDE)
+    assert got == f"matrix entry is not finite: inf (layer {layer})"
+    assert got == step(net, a, loss, ALL_PURE)
+
+
+def test_a_diverging_wide_train_raises_the_pure_text(monkeypatch):
+    """The second step overflows: its epoch, row and layer are named."""
+    net = uniform_net((1e-200, 1e200))
+    dataset = [((0.0,) * WIDE, (0.0,) * WIDE), ((1.0,) * WIDE, (0.0,) * WIDE)]
+    texts = []
+    for side in (WIDE, ALL_PURE):
+        monkeypatch.setattr(backprop, "WIDE_SIDE", side)
+        with pytest.raises(DomainError) as caught:
+            backprop.train(net, dataset, 1e200, backprop.SgdConfig(epochs=1))
+        texts.append(str(caught.value))
+    assert texts[0] == texts[1] == "epoch 1, row 2: matrix entry is not finite: inf (layer 0)"
+
+
+def test_an_update_that_leaves_the_floats_raises_the_pure_text():
+    """Every product is finite and one new entry is not: the weights
+    1.5e308 and -1.5e308 cancel in the forward pass, and the signal
+    -1.5e308 pushes the first of them past the largest float."""
+    rows = [[0.0] * WIDE for _ in range(WIDE)]
+    rows[0][0], rows[0][1] = 1.5e308, -1.5e308
+    net = Network.chain([make_layer(rows, [0.0] * WIDE, IDENTITY)])
+    loss = squared_error((1e308,) + (0.0,) * (WIDE - 1), 1.5)
+    got = step(net, (1.0,) * WIDE, loss, WIDE)
+    assert got == "matrix entry is not finite: inf (layer 0)"
+    assert got == step(net, (1.0,) * WIDE, loss, ALL_PURE)
+
+
+def test_a_forward_pass_that_leaves_the_floats_raises_the_pure_text():
+    rows = [[1e308] * WIDE for _ in range(WIDE)]
+    net = Network.chain([make_layer(rows, [0.0] * WIDE, TANH)])
+    loss = squared_error((0.0,) * WIDE, 1.0)
+    got = step(net, (2.0,) * WIDE, loss, WIDE)
+    assert got == "activation input is not finite: inf (layer 0)"
+    assert got == step(net, (2.0,) * WIDE, loss, ALL_PURE)

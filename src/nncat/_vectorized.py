@@ -38,8 +38,10 @@ class ArrayKernels:
     """The numpy kernels of one layer, on its entries as a rows x cols
     float64 array, with the pure kernels' results.  The mask and bias
     flags are held as one boolean array of the mutable positions, built
-    once; `load` and `store` convert between the layer's row-major entry
-    tuple and the array."""
+    once.  `load` converts the layer's row-major entry tuple to the
+    array and `store` converts back; a layer that a step rebuilt carries
+    these kernels and its read-only array, so a step loads a layer's
+    entries only when the layer was not built by a numpy step."""
 
     def __init__(self, layer: Layer) -> None:
         t = layer.transition
@@ -77,7 +79,8 @@ class ArrayKernels:
         return tuple(acc.tolist())
 
     def update(self, weights: np.ndarray, s: Vec, inp: Vec) -> np.ndarray:
-        """`weights`, updated in place: the step owns the array it loaded."""
+        """`weights`, updated in place: the step owns the array it loaded or
+        copied, never one that a layer carries."""
         with np.errstate(all="ignore"):
             new = np.multiply.outer(s, inp)
             np.subtract(weights, new, out=new)

@@ -24,12 +24,16 @@ replace the layer's only O(rows * cols) work, the affine map, the
 pushback and the masked update; `_step` shares the rest: it
 sweeps against the weights and replaces each, from the last layer to
 the first, with its updated weights, checking once that every product
-and every new entry is finite.  `backprop_step` loads the weights from
-its network's entries and rebuilds it from the stored new ones with
+and every new entry is finite.  `backprop_step` rebuilds its network
+from the new weights, stored as entry tuples, with
 `Network._with_weights`, the one rebuild that reuses the shapes, masks
 and bias flags already checked and does not scan the entries again.
-`train` loads the weights once and holds them for the whole run, and
-builds a network from them once, for its last step, which is
+Each layer rebuilt from numpy kernels carries them and its new weights
+array, read-only, so a later step on that layer, in any network,
+updates a copy of the array and loads nothing from the entries; the
+width rule still decides, on every call, whether a layer steps on numpy
+at all.  `train` loads the weights once and holds them for the whole
+run, and builds a network from them once, for its last step, which is
 `backprop_step`; no other step builds a matrix, layer, network or
 trace.  The trace keeps the signals and builds the gradients only when
 they are read.
@@ -111,7 +115,9 @@ _vectorized: Any = None
 def _kernels(net: Network) -> list[ArrayKernels | None]:
     """Each layer's numpy kernels, `_vectorized.ArrayKernels`, for a
     layer with at least `WIDE_SIDE` rows and columns when numpy can be
-    imported; None, for the pure kernels, otherwise."""
+    imported: those the layer carries from the step that built it, or
+    else new ones.  None, for the pure kernels, otherwise, whatever the
+    layer carries."""
     global _vectorized
     kernels = []
     for layer in net.layers:
@@ -123,21 +129,45 @@ def _kernels(net: Network) -> list[ArrayKernels | None]:
             except ImportError:
                 module = False
             _vectorized = module
-        kernels.append(_vectorized.ArrayKernels(layer) if wide and _vectorized else None)
+        if not (wide and _vectorized):
+            kernels.append(None)
+        elif layer._carried is not None:
+            kernels.append(layer._carried[0])
+        else:
+            kernels.append(_vectorized.ArrayKernels(layer))
     return kernels
 
 
 def _loaded(net: Network, kernels: Sequence[ArrayKernels | None]) -> list[Any]:
-    """Each layer's weights as its kernels hold them."""
+    """Each layer's weights as its kernels hold them, for the step to
+    update in place: for numpy kernels, a copy of the array the layer
+    carries, or else an array loaded from its entries."""
     return [
-        layer.transition.entries if k is None else k.load(layer.transition.entries)
+        layer.transition.entries if k is None
+        else k.load(layer.transition.entries) if layer._carried is None
+        else layer._carried[1].copy()
         for layer, k in zip(net.layers, kernels)
     ]
 
 
-def _stored(weights: Sequence[Any], kernels: Sequence[ArrayKernels | None]) -> list[Vec]:
-    """Each layer's weights as a row-major entry tuple."""
-    return [w if k is None else k.store(w) for w, k in zip(weights, kernels)]
+def _rebuilt(
+    net: Network, weights: Sequence[Any], kernels: Sequence[ArrayKernels | None]
+) -> Network:
+    """`net` with each layer's weights, stored as a row-major entry
+    tuple.  A layer on numpy kernels carries them, with its weights
+    array made read-only, so the next step on it copies the array
+    instead of loading the entries."""
+    entries: list[Vec] = []
+    carried: list[object] = []
+    for w, k in zip(weights, kernels):
+        if k is None:
+            entries.append(w)
+            carried.append(None)
+        else:
+            w.flags.writeable = False
+            entries.append(k.store(w))
+            carried.append((k, w))
+    return net._with_weights(entries, carried)
 
 
 def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
@@ -209,7 +239,7 @@ def backprop_step(
     kernels = _kernels(net)
     weights = _loaded(net, kernels)
     trace = BackpropTrace(*_step(net, weights, kernels, a, loss.erosion))
-    return net._with_weights(_stored(weights, kernels)), trace
+    return _rebuilt(net, weights, kernels), trace
 
 
 def functoriality_check(
@@ -287,8 +317,7 @@ def train(
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`
                     # times `backprop_step` on every workload.
-                    last = net._with_weights(_stored(weights, kernels))
-                    net, trace = backprop_step(last, x, loss)
+                    net, trace = backprop_step(_rebuilt(net, weights, kernels), x, loss)
                     states = trace.states
                 value = validity(states[-1], loss)
                 if not math.isfinite(value):

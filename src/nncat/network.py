@@ -19,7 +19,7 @@ pre-activation there, so the two agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, ClassVar, Sequence
 
 from .activation import Activation, act_map
 from .algebra import Mat, ShapeError, Vec, kleisli_apply
@@ -45,6 +45,11 @@ class Layer:
     activation: Activation
     mask: BoolMat | None = None
     bias_mutable: BoolRow | None = None
+    # An opaque object that the step which built this layer leaves for
+    # the next step, or None; see `Network._with_weights`, the one place
+    # that sets it.  It is not a field, so equality, `repr` and
+    # serialization never see it.
+    _carried: ClassVar[Any] = None
 
     def __post_init__(self) -> None:
         if self.transition.cols < 1:
@@ -129,7 +134,11 @@ class Network:
                 f"last layer emits {self.layers[-1].out_dim}, network declares {self.out_dim}"
             )
 
-    def _with_weights(self, weights: Sequence[tuple[float, ...]]) -> "Network":
+    def _with_weights(
+        self,
+        weights: Sequence[tuple[float, ...]],
+        carried: Sequence[object],
+    ) -> "Network":
         """This network with layer i's transition entries replaced by
         `weights[i]`, for the engine's own rebuilds (updates).
 
@@ -140,9 +149,16 @@ class Network:
         flags checked when this network was built; this is the engine's
         one unchecked construction.  The network itself is built through
         its O(depth) public check.
+
+        `carried[i]`, where it is not None, becomes new layer i's
+        `_carried`.  This module never reads it.  The step passes its
+        numpy kernels and the updated weights array, from which
+        `weights[i]` was stored, made read-only before the call: nothing
+        writes that array afterwards, so it holds `weights[i]` for the
+        life of the layer.
         """
         layers = []
-        for layer, entries in zip(self.layers, weights, strict=True):
+        for layer, entries, extra in zip(self.layers, weights, carried, strict=True):
             t = object.__new__(Mat)
             object.__setattr__(t, "rows", layer.transition.rows)
             object.__setattr__(t, "cols", layer.transition.cols)
@@ -152,6 +168,8 @@ class Network:
             object.__setattr__(new, "activation", layer.activation)
             object.__setattr__(new, "mask", layer.mask)
             object.__setattr__(new, "bias_mutable", layer.bias_mutable)
+            if extra is not None:
+                object.__setattr__(new, "_carried", extra)
             layers.append(new)
         return Network(tuple(layers), self.in_dim, self.out_dim)
 

@@ -65,7 +65,7 @@ class TestLayerConstruction:
             mask=((True, False), (False, True)), bias_mutable=(False, True),
         )
         t = Mat.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        (rebuilt,) = Network.chain([layer])._with_weights([t.entries]).layers
+        (rebuilt,) = Network.chain([layer])._with_weights([t.entries], [None]).layers
         assert rebuilt == Layer(t, SIGMOID, layer.mask, layer.bias_mutable)
         assert rebuilt.mask is layer.mask
         assert rebuilt.bias_mutable is layer.bias_mutable
@@ -86,7 +86,7 @@ class TestNetworkConstruction:
 
         net = build()
         weights = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
-        rebuilt = net._with_weights(weights)
+        rebuilt = net._with_weights(weights, [None, None])
         assert rebuilt == Network.chain([
             Layer(Mat(2, 3, weights[0]), SIGMOID, mask, flags),
             Layer(Mat(2, 3, weights[1]), IDENTITY),
@@ -96,7 +96,7 @@ class TestNetworkConstruction:
             assert new.bias_mutable is old.bias_mutable
             assert new.activation is old.activation
         assert net == build()
-        assert identity_net(2)._with_weights([]) == identity_net(2)
+        assert identity_net(2)._with_weights([], []) == identity_net(2)
 
     def test_incompatible_layers_rejected(self):
         wide = make_layer([(1.0, 2.0, 3.0)], (0.0,), SIGMOID)  # 3 -> 1

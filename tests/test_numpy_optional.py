@@ -1,10 +1,12 @@
 """numpy is optional and imported only when a wide layer steps.
 
 `import nncat` must not import numpy, and neither may training the
-Mazur net or checking the gradients of an 8-16-16-8 net: importing
-numpy costs a short run more time and memory than its whole step.  So
-the import happens inside the kernel choice, and `backprop.WIDE_SIDE`
-keeps every layer of those nets, at most 16 x 17, on the pure kernels.
+Mazur net, stepping an 8-16-16-8 net or checking its gradients:
+importing numpy costs a short run more time and memory than its whole
+step.  So the import happens inside the kernel choice, and
+`backprop.WIDE_SIDE` keeps every layer of those nets, at most 16 x 17,
+on the pure kernels; none of their layers carries a numpy array into
+the next step.
 Without numpy, a wide layer steps on the pure kernels too.  Neither
 test needs numpy installed.
 """
@@ -34,12 +36,14 @@ net, losses = nncat.train(
     demo.mazur_network(), [(demo.INPUT, demo.TARGET)] * 3, 0.5, nncat.SgdConfig(epochs=20)
 )
 assert "numpy" not in sys.modules, "train"
+assert all(layer._carried is None for layer in net.layers), "train carries"
 rng = random.Random(5)
 dims = (8, 16, 16, 8)
-fileio.write_network(
-    sys.argv[1],
-    Network.chain([random_layer(rng, n, k, mask_density=0.9) for n, k in zip(dims, dims[1:])]),
-)
+net = Network.chain([random_layer(rng, n, k, mask_density=0.9) for n, k in zip(dims, dims[1:])])
+stepped, _ = nncat.backprop_step(net, (0.5,) * 8, nncat.squared_error((0.25,) * 8, 0.1))
+assert all(layer._carried is None for layer in stepped.layers), "backprop_step carries"
+assert "numpy" not in sys.modules, "backprop_step"
+fileio.write_network(sys.argv[1], net)
 rc = cli.main([
     "gradcheck", "--net", sys.argv[1], "--input", ",".join(["0.5"] * 8),
     "--target", ",".join(["0.25"] * 8), "--eta", "0.1",

@@ -15,6 +15,12 @@ so an overflow that numpy reported as a `RuntimeWarning` would fail.
 Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
 every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
 weights near 1e154 and a rate of 1e300.
+
+A layer that a numpy step rebuilt carries its kernels and its weights
+array into the next step on it.  Chains of steps on the carried arrays
+must equal chains of pure steps, bit for bit, and a step must never
+write a carried array, nor use one where the width rule picks the pure
+kernels.
 """
 
 import random
@@ -32,6 +38,7 @@ from nncat._vectorized import ArrayKernels  # noqa: E402
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
 from nncat.algebra import DomainError, _affine  # noqa: E402
 from nncat.backward import _pushback_entries  # noqa: E402
+from nncat.fileio import parse_network, serialize_network  # noqa: E402
 from nncat.loss import squared_error, validity  # noqa: E402
 from nncat.network import Network, make_layer, net_forward  # noqa: E402
 from nncat.randnet import random_layer, random_state  # noqa: E402
@@ -58,21 +65,26 @@ def bits(values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def step(net, a, loss, side):
-    """`backprop_step` with `WIDE_SIDE` set to `side`: the new weights,
-    states, erosions and signals as bits, or the error text."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backprop, "WIDE_SIDE", side)
-        try:
-            stepped, trace = backprop.backprop_step(net, a, loss)
-        except DomainError as exc:
-            return str(exc)
+def step_bits(stepped, trace):
+    """The new weights, states, erosions and signals of a step as bits."""
     return (
         [bits(layer.transition.entries) for layer in stepped.layers],
         [bits(v) for v in trace.states],
         [bits(v) for v in trace.erosions],
         [bits(v) for v in trace.signals],
     )
+
+
+def step(net, a, loss, side):
+    """`backprop_step` with `WIDE_SIDE` set to `side`: `step_bits`, or
+    the error text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backprop, "WIDE_SIDE", side)
+        try:
+            stepped, trace = backprop.backprop_step(net, a, loss)
+        except DomainError as exc:
+            return str(exc)
+    return step_bits(stepped, trace)
 
 
 @st.composite
@@ -212,18 +224,18 @@ def uniform_net(scales):
     )
 
 
-@pytest.mark.parametrize(
-    "scales, rate, layer",
-    [
-        # the pushback 20 * 4e202 * 1e200 overflows: layer 0 only
-        ((1e-200, 1e200), 1e200, 0),
-        # the products 4e196 * 2e155 overflow: layer 1 only
-        ((1e154, 1e-160), 1e200, 1),
-        # the output erosion 1e300 * 2e11 overflows: both layers, and
-        # layer 1 updates first
-        ((5e8, 1.0), 1e300, 1),
-    ],
-)
+OVERFLOWS = [
+    # the pushback 20 * 4e202 * 1e200 overflows: layer 0 only
+    ((1e-200, 1e200), 1e200, 0),
+    # the products 4e196 * 2e155 overflow: layer 1 only
+    ((1e154, 1e-160), 1e200, 1),
+    # the output erosion 1e300 * 2e11 overflows: both layers, and
+    # layer 1 updates first
+    ((5e8, 1.0), 1e300, 1),
+]
+
+
+@pytest.mark.parametrize("scales, rate, layer", OVERFLOWS)
 def test_an_overflowing_wide_step_raises_the_pure_text(scales, rate, layer):
     net, a, loss = uniform_net(scales), (1.0,) * WIDE, squared_error((0.0,) * WIDE, rate)
     got = step(net, a, loss, WIDE)
@@ -264,3 +276,144 @@ def test_a_forward_pass_that_leaves_the_floats_raises_the_pure_text():
     got = step(net, (2.0,) * WIDE, loss, WIDE)
     assert got == "activation input is not finite: inf (layer 0)"
     assert got == step(net, (2.0,) * WIDE, loss, ALL_PURE)
+
+
+# A layer rebuilt by a numpy step carries its kernels and its weights
+# array, `Layer._carried`, into the next step on it.
+
+
+def carries(net):
+    """Which layers carry an array, and is each carried array read-only
+    and equal, as bits, to its layer's entries?"""
+    for layer in net.layers:
+        if layer._carried is not None:
+            weights = layer._carried[1]
+            assert not weights.flags.writeable
+            assert bits(weights.ravel().tolist()) == bits(layer.transition.entries)
+    return [layer._carried is not None for layer in net.layers]
+
+
+def counted_loads(monkeypatch):
+    """A list that grows by one each time a step loads a layer's entries
+    into an array."""
+    loads = []
+    load = ArrayKernels.load
+
+    def counted(kernels, entries):
+        loads.append(entries)
+        return load(kernels, entries)
+
+    monkeypatch.setattr(ArrayKernels, "load", counted)
+    return loads
+
+
+def chained(net, cases, side):
+    """`step_bits` of each `backprop_step` in a chain over `cases`, each
+    step on the network the one before returned, with `WIDE_SIDE` set to
+    `side`, and the last network."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backprop, "WIDE_SIDE", side)
+        for a, loss in cases:
+            net, trace = backprop.backprop_step(net, a, loss)
+            got.append(step_bits(net, trace))
+    return got, net
+
+
+@pytest.mark.parametrize(
+    "side, carried", [(WIDE, [True, False, True]), (ALL_NUMPY, [True, True, True])]
+)
+def test_a_chain_of_carried_steps_equals_the_pure_chain(monkeypatch, side, carried):
+    """16 chained steps: only the first loads a numpy layer's entries,
+    the other 15 start from the arrays that the step before carried."""
+    rng = random.Random(23)
+    net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), 0.9)
+    cases = [
+        (random_state(rng, WIDE, 1.0), squared_error(random_state(rng, WIDE, 0.9), 0.1))
+        for _ in range(16)
+    ]
+    loads = counted_loads(monkeypatch)
+    got, last = chained(net, cases, side)
+    assert len(loads) == carried.count(True)
+    assert carries(last) == carried
+    want, pure = chained(net, cases, ALL_PURE)
+    assert got == want
+    assert carries(pure) == [False] * 3
+
+
+def test_stepping_a_stepped_network_twice_gives_equal_bits():
+    """Each step updates its own copy of the carried arrays.  The
+    carried arrays are not part of the network's value: its parsed copy
+    is equal to it and carries nothing."""
+    rng = random.Random(29)
+    net = wide_net(rng, (WIDE + 2, WIDE, WIDE + 1), 0.5)
+    a, target = random_state(rng, WIDE + 2, 1.0), random_state(rng, WIDE + 1, 0.9)
+    loss = squared_error(target, 0.1)
+    stepped, _ = backprop.backprop_step(net, a, loss)
+    assert carries(stepped) == [True, True]
+    first = step_bits(*backprop.backprop_step(stepped, a, loss))
+    assert first == step_bits(*backprop.backprop_step(stepped, a, loss))
+    parsed = parse_network(serialize_network(stepped))
+    assert stepped == parsed
+    assert carries(parsed) == [False, False]
+    assert first == step(parsed, a, loss, ALL_PURE)
+
+
+@pytest.mark.parametrize("scales, rate, layer", OVERFLOWS)
+def test_an_overflowing_step_leaves_the_carried_arrays_as_they_were(scales, rate, layer):
+    """A step at rate 0 leaves the weights as they were and makes the
+    network carry them; an overflowing step from it raises and changes
+    no carried array, and a good step from it equals the step from a
+    freshly parsed copy."""
+    a, zeros = (1.0,) * WIDE, (0.0,) * WIDE
+    net, _ = backprop.backprop_step(uniform_net(scales), a, squared_error(zeros, 0.0))
+    assert carries(net) == [True, True]
+    got = step(net, a, squared_error(zeros, rate), WIDE)
+    assert got == f"matrix entry is not finite: inf (layer {layer})"
+    assert carries(net) == [True, True]
+    fresh = parse_network(serialize_network(net))
+    good = squared_error((0.5,) * WIDE, 1e-12)
+    want = step(fresh, a, good, ALL_PURE)
+    assert isinstance(want, tuple)
+    assert step(net, a, good, WIDE) == step(fresh, a, good, WIDE) == want
+
+
+def test_the_width_rule_decides_whatever_a_layer_carries(monkeypatch):
+    """A network stepped with every layer on numpy carries arrays for
+    its narrow layers too; the width rule sends them back to the pure
+    kernels, which carry nothing."""
+    rng = random.Random(31)
+    net = wide_net(rng, (3, WIDE, 4), 1.0)
+    a, loss = random_state(rng, 3, 1.0), squared_error(random_state(rng, 4, 0.9), 0.1)
+    stepped = chained(net, [(a, loss)], ALL_NUMPY)[1]
+    assert carries(stepped) == [True, True]
+    fresh = parse_network(serialize_network(stepped))
+    for side in (ALL_PURE, WIDE):
+        monkeypatch.setattr(backprop, "WIDE_SIDE", side)
+        assert backprop._kernels(stepped) == [None, None]
+        again, trace = backprop.backprop_step(stepped, a, loss)
+        assert carries(again) == [False, False]
+        assert step_bits(again, trace) == step(fresh, a, loss, ALL_PURE)
+
+
+def test_train_hands_its_arrays_to_the_network_it_returns(monkeypatch):
+    """The last step of `train` is `backprop_step` on a network built
+    from the arrays `train` held, so it loads no entries; a second
+    `train` from the returned network loads none either."""
+    rng = random.Random(41)
+    net = wide_net(rng, (WIDE, WIDE + 1, WIDE), 0.9)
+    dataset = [(random_state(rng, WIDE, 1.0), random_state(rng, WIDE, 0.9)) for _ in range(2)]
+    loads = counted_loads(monkeypatch)
+    trained, _ = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
+    assert len(loads) == 2
+    assert carries(trained) == [True, True]
+    again, losses = backprop.train(trained, dataset, 0.25, backprop.SgdConfig(epochs=1))
+    assert len(loads) == 2
+    monkeypatch.setattr(backprop, "WIDE_SIDE", ALL_PURE)
+    want, pure = backprop.train(
+        parse_network(serialize_network(trained)), dataset, 0.25, backprop.SgdConfig(epochs=1)
+    )
+    assert bits(losses) == bits(pure)
+    assert [bits(layer.transition.entries) for layer in again.layers] == [
+        bits(layer.transition.entries) for layer in want.layers
+    ]

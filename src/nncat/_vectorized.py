@@ -1,4 +1,5 @@
-"""numpy twins of the step's three O(rows * cols) kernels, bit for bit.
+"""A wide layer's step weights as a numpy array, with numpy twins of the
+step's three O(rows * cols) kernels, bit for bit.
 
 A layer's step costs O(rows * cols) in three places: the affine map of
 the forward sweep, the pushback of the backward sweep and the masked
@@ -34,57 +35,65 @@ from .algebra import Vec, _require_finite
 from .network import Layer
 
 
-class ArrayKernels:
-    """The numpy kernels of one layer, on its entries as a rows x cols
-    float64 array, with the pure kernels' results.  The mask and bias
-    flags are held as one boolean array of the mutable positions, built
-    once.  `load` converts the layer's row-major entry tuple to the
-    array and `store` converts back; a layer that a step rebuilt carries
-    these kernels and its read-only array, so a step loads a layer's
-    entries only when the layer was not built by a numpy step."""
+class ArrayWeights:
+    """One layer's step weights, a value: its entries as a rows x cols
+    float64 array and its frozen positions (mask and bias flags off) as
+    a boolean array of the same shape, both read-only from construction.
+    The kernels read them; `update` returns new weights and writes only
+    the array it allocates, so no step changes weights that a layer
+    carries."""
 
-    def __init__(self, layer: Layer) -> None:
+    __slots__ = ("array", "frozen")
+
+    def __init__(self, array: np.ndarray, frozen: np.ndarray) -> None:
+        array.flags.writeable = frozen.flags.writeable = False
+        self.array = array
+        self.frozen = frozen
+
+    @classmethod
+    def of(cls, layer: Layer) -> ArrayWeights:
+        """The weights `layer` carries from the numpy step that built
+        it, or else new ones loaded from its row-major entries."""
+        if layer._carried is not None:
+            return layer._carried
         t = layer.transition
-        self.shape = (t.rows, t.cols)
-        mutable = np.empty(self.shape, dtype=bool)
+        frozen = np.empty((t.rows, t.cols), dtype=bool)
         mask = np.frombuffer(b"".join(map(bytes, layer.mask)), dtype=bool)
-        mutable[:, :-1] = mask.reshape(t.rows, t.cols - 1)
-        mutable[:, -1] = layer.bias_mutable
-        self.mutable = mutable
+        frozen[:, :-1] = mask.reshape(t.rows, t.cols - 1)
+        frozen[:, -1] = layer.bias_mutable
+        np.logical_not(frozen, out=frozen)
+        array = np.fromiter(t.entries, dtype=float, count=len(t.entries))
+        return cls(array.reshape(t.rows, t.cols), frozen)
 
-    def load(self, entries: Vec) -> np.ndarray:
-        return np.fromiter(entries, dtype=float, count=len(entries)).reshape(self.shape)
+    def entries(self) -> Vec:
+        """The row-major entry tuple."""
+        return tuple(self.array.ravel().tolist())
 
-    @staticmethod
-    def store(weights: np.ndarray) -> Vec:
-        return tuple(weights.ravel().tolist())
-
-    @staticmethod
-    def affine(weights: np.ndarray, x: Vec) -> Vec:
+    def affine(self, x: Vec) -> Vec:
+        w = self.array
         with np.errstate(all="ignore"):
-            products = weights[:, :-1] * np.asarray(x, dtype=float)
-            acc = np.zeros(len(weights))
+            products = w[:, :-1] * np.asarray(x, dtype=float)
+            acc = np.zeros(len(w))
             for column in products.T:
                 acc += column
-            acc += weights[:, -1]
+            acc += w[:, -1]
         return tuple(acc.tolist())
 
-    @staticmethod
-    def pushback(weights: np.ndarray, s: Vec) -> Vec:
+    def pushback(self, s: Vec) -> Vec:
+        w = self.array
         with np.errstate(all="ignore"):
-            products = np.asarray(s, dtype=float)[:, None] * weights[:, :-1]
-            acc = np.zeros(weights.shape[1] - 1)
+            products = np.asarray(s, dtype=float)[:, None] * w[:, :-1]
+            acc = np.zeros(w.shape[1] - 1)
             for row in products:
                 acc += row
         return tuple(acc.tolist())
 
-    def update(self, weights: np.ndarray, s: Vec, inp: Vec) -> np.ndarray:
-        """`weights`, updated in place: the step owns the array it loaded or
-        copied, never one that a layer carries."""
+    def update(self, s: Vec, inp: Vec) -> ArrayWeights:
+        w = self.array
         with np.errstate(all="ignore"):
             new = np.multiply.outer(s, inp)
-            np.subtract(weights, new, out=new)
-            np.copyto(weights, new, where=self.mutable)
-            if not np.isfinite(weights).all():
-                _require_finite(weights.ravel().tolist(), "matrix entry")
-        return weights
+            np.subtract(w, new, out=new)
+            np.copyto(new, w, where=self.frozen)
+            if not np.isfinite(new).all():
+                _require_finite(new.ravel().tolist(), "matrix entry")
+        return ArrayWeights(new, self.frozen)

@@ -49,6 +49,9 @@ class Mat:
     entries: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # a list would keep the matrix mutable and unhashable; for a
+        # tuple this is free, as tuple(t) is t
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.rows < 0 or self.cols < 0:
             raise ShapeError(f"negative dimensions {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:

@@ -16,21 +16,21 @@ discipline is what makes the step compose: stepping a concatenated
 network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
-The step works on each layer's weights as a flat, row-major entry
-tuple or, for a layer with at least `WIDE_SIDE` rows and columns when
-numpy can be imported, as an array for its numpy kernels,
-`_vectorized.ArrayKernels`, which give the same bits.  The kernels
-replace the layer's only O(rows * cols) work, the affine map, the
-pushback and the masked update; `_step` shares the rest: it
-sweeps against the weights and replaces each, from the last layer to
-the first, with its updated weights, checking once that every product
-and every new entry is finite.  `backprop_step` rebuilds its network
-from the new weights, stored as entry tuples, with
-`Network._with_weights`, the one rebuild that reuses the shapes, masks
-and bias flags already checked and does not scan the entries again.
-Each layer rebuilt from numpy kernels carries them and its new weights
-array, read-only, so a later step on that layer, in any network,
-updates a copy of the array and loads nothing from the entries; the
+The step works on each layer's weights as one value: its flat,
+row-major entry tuple or, for a layer with at least `WIDE_SIDE` rows
+and columns when numpy can be imported, its `_vectorized.ArrayWeights`,
+a read-only array whose methods are numpy twins, with the same bits, of
+the layer's only O(rows * cols) work: the affine map, the pushback and
+the masked update.  `_step` shares the rest: it sweeps against the
+weights and replaces each, from the last layer to the first, with its
+updated weights, checking once that every product and every new entry
+is finite.  An update returns new weights and never writes the ones it
+read, so nothing is copied.  `backprop_step` rebuilds its network from
+the new weights, stored as entry tuples, with `Network._with_weights`,
+the one rebuild that reuses the shapes, masks and bias flags already
+checked and does not scan the entries again.  Each layer rebuilt from
+`ArrayWeights` carries them, so a later step on that layer, in any
+network, starts from them and loads nothing from the entries; the
 width rule still decides, on every call, whether a layer steps on numpy
 at all.  `train` loads the weights once and holds them for the whole
 run, and builds a network from them once, for its last step, which is
@@ -44,15 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from .algebra import DomainError, ShapeError, Vec, _require_finite, outer
 from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
 from .network import Layer, Network, compose, net_forward
-
-if TYPE_CHECKING:
-    from ._vectorized import ArrayKernels
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,14 @@ WIDE_SIDE = 17
 _vectorized: Any = None
 
 
-def _kernels(net: Network) -> list[ArrayKernels | None]:
-    """Each layer's numpy kernels, `_vectorized.ArrayKernels`, for a
-    layer with at least `WIDE_SIDE` rows and columns when numpy can be
-    imported: those the layer carries from the step that built it, or
-    else new ones.  None, for the pure kernels, otherwise, whatever the
-    layer carries."""
+def _loaded(net: Network) -> list[Any]:
+    """Each layer's step weights: for a layer with at least `WIDE_SIDE`
+    rows and columns when numpy can be imported,
+    `_vectorized.ArrayWeights.of(layer)`, the weights it carries or else
+    new ones loaded from its entries; otherwise, whatever the layer
+    carries, its row-major entry tuple."""
     global _vectorized
-    kernels = []
+    weights = []
     for layer in net.layers:
         t = layer.transition
         wide = min(t.rows, t.cols) >= WIDE_SIDE
@@ -129,45 +126,18 @@ def _kernels(net: Network) -> list[ArrayKernels | None]:
             except ImportError:
                 module = False
             _vectorized = module
-        if not (wide and _vectorized):
-            kernels.append(None)
-        elif layer._carried is not None:
-            kernels.append(layer._carried[0])
-        else:
-            kernels.append(_vectorized.ArrayKernels(layer))
-    return kernels
+        weights.append(_vectorized.ArrayWeights.of(layer) if wide and _vectorized else t.entries)
+    return weights
 
 
-def _loaded(net: Network, kernels: Sequence[ArrayKernels | None]) -> list[Any]:
-    """Each layer's weights as its kernels hold them, for the step to
-    update in place: for numpy kernels, a copy of the array the layer
-    carries, or else an array loaded from its entries."""
-    return [
-        layer.transition.entries if k is None
-        else k.load(layer.transition.entries) if layer._carried is None
-        else layer._carried[1].copy()
-        for layer, k in zip(net.layers, kernels)
-    ]
-
-
-def _rebuilt(
-    net: Network, weights: Sequence[Any], kernels: Sequence[ArrayKernels | None]
-) -> Network:
+def _rebuilt(net: Network, weights: Sequence[Any]) -> Network:
     """`net` with each layer's weights, stored as a row-major entry
-    tuple.  A layer on numpy kernels carries them, with its weights
-    array made read-only, so the next step on it copies the array
-    instead of loading the entries."""
-    entries: list[Vec] = []
-    carried: list[object] = []
-    for w, k in zip(weights, kernels):
-        if k is None:
-            entries.append(w)
-            carried.append(None)
-        else:
-            w.flags.writeable = False
-            entries.append(k.store(w))
-            carried.append((k, w))
-    return net._with_weights(entries, carried)
+    tuple.  A layer with `ArrayWeights` carries them, so the next step
+    on it loads nothing from the entries."""
+    return net._with_weights(
+        [w if type(w) is tuple else w.entries() for w in weights],
+        [None if type(w) is tuple else w for w in weights],
+    )
 
 
 def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
@@ -187,19 +157,15 @@ def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
 
 
 def _step(
-    net: Network,
-    weights: list[Any],
-    kernels: Sequence[ArrayKernels | None],
-    a: Vec,
-    erosion: ErosionFn,
+    net: Network, weights: list[Any], a: Vec, erosion: ErosionFn
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    """One step of `net` with layer i's weights `weights[i]`, an array of
-    its numpy kernels `kernels[i]` or, where that is None, its row-major
-    entry tuple; each is replaced with the updated weights.  Returns the
-    sweep's states, erosions and signals.
+    """One step of `net` with layer i's weights `weights[i]`, its
+    row-major entry tuple or its `ArrayWeights`; each list item is
+    replaced with the updated weights.  Returns the sweep's states,
+    erosions and signals.
 
     One sweep gives every layer's error signal against the weights
-    before the step, so updating them in place changes no gradient.  A
+    before the step, so replacing them changes no gradient.  A
     layer's update is `masked_update` of `Gradient(outer(s, a + (1,)))`,
     bit for bit, without building the gradient.  The first product, then
     the first new entry, that is not finite raises the error the gradient
@@ -208,17 +174,17 @@ def _step(
     naming the layer, counted from 0; the layers are updated, and so
     raise, last first.
     """
-    states, erosions, signals = sweep(net, a, erosion, weights, kernels)
+    states, erosions, signals = sweep(net, a, erosion, weights)
     for idx in range(len(weights) - 1, -1, -1):
-        s, inp, k = signals[idx], states[idx] + (1.0,), kernels[idx]
+        s, inp, w = signals[idx], states[idx] + (1.0,), weights[idx]
         try:
             if not _products_finite(s, inp):
                 # raises unless there are no products
                 _require_finite([sj * ai for sj in s for ai in inp], "matrix entry")
-            if k is None:
-                weights[idx] = _updated_entries(net.layers[idx], weights[idx], s, inp)
+            if type(w) is tuple:
+                weights[idx] = _updated_entries(net.layers[idx], w, s, inp)
             else:
-                weights[idx] = k.update(weights[idx], s, inp)
+                weights[idx] = w.update(s, inp)
         except DomainError as exc:
             raise DomainError(f"{exc} (layer {idx})") from exc
     return states, erosions, signals
@@ -236,10 +202,9 @@ def backprop_step(
     """
     if loss.dim != net.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
-    kernels = _kernels(net)
-    weights = _loaded(net, kernels)
-    trace = BackpropTrace(*_step(net, weights, kernels, a, loss.erosion))
-    return _rebuilt(net, weights, kernels), trace
+    weights = _loaded(net)
+    trace = BackpropTrace(*_step(net, weights, a, loss.erosion))
+    return _rebuilt(net, weights), trace
 
 
 def functoriality_check(
@@ -283,9 +248,9 @@ def train(
     Each row (input, target) builds its squared-error loss, with the rate
     folded in, once for all epochs; the loss of the current network on
     the row is recorded before its update applies.  Every step but the
-    last updates flat entry tuples in place; the last is `backprop_step`
-    on the network built from them.  Deterministic: fixed order, no
-    shuffling.  A step that leaves the finite floats raises
+    last replaces the weights `train` holds, loaded once; the last is
+    `backprop_step` on the network built from them.  Deterministic:
+    fixed order, no shuffling.  A step that leaves the finite floats raises
     `DomainError` naming its epoch and row, both counted from 1, and its
     layer, counted from 0.  A row whose loss is not finite raises
     `DomainError` naming its epoch and row, after its step, so the
@@ -305,19 +270,18 @@ def train(
     # built only when a step reads them, so 0 epochs still accept any rate > 0
     # and load no weights
     rows = [(x, squared_error(t, rate)) for x, t in dataset] if cfg.epochs else []
-    kernels = _kernels(net) if cfg.epochs else []
-    weights = _loaded(net, kernels)
+    weights = _loaded(net) if cfg.epochs else []
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         for row, (x, loss) in enumerate(rows, 1):
             try:
                 if epoch < cfg.epochs or row < len(rows):
-                    states = _step(net, weights, kernels, x, loss.erosion)[0]
+                    states = _step(net, weights, x, loss.erosion)[0]
                 else:
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`
                     # times `backprop_step` on every workload.
-                    net, trace = backprop_step(_rebuilt(net, weights, kernels), x, loss)
+                    net, trace = backprop_step(_rebuilt(net, weights), x, loss)
                     states = trace.states
                 value = validity(states[-1], loss)
                 if not math.isfinite(value):

@@ -30,10 +30,10 @@ the affine and pushback loops exist once, on entry tuples (`_affine`,
 shape-checked wrapper, so the sweep agrees with it bit for bit.
 
 Those two loops and the step's masked update are a layer's only
-O(rows * cols) work.  The step may give a wide layer
-`_vectorized.ArrayKernels`, their numpy twins with the same bits, which
-hold the layer's weights as an array; the sweep runs them in place of
-the two loops for that layer and shares everything else.
+O(rows * cols) work.  The step may pass a wide layer's weights as
+`_vectorized.ArrayWeights`, a read-only array with their numpy twins,
+which give the same bits; the sweep runs them in place of the two loops
+for that layer and shares everything else.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
@@ -52,7 +52,6 @@ from .activation import act_deriv_map, act_map
 from .network import Layer, Network
 
 if TYPE_CHECKING:
-    from ._vectorized import ArrayKernels
     from .loss import LossPredicate
 
 ErosionFn = Callable[[Vec], Vec]
@@ -105,15 +104,13 @@ def sweep(
     a: Vec,
     erosion: ErosionFn,
     weights: Sequence[Any] | None = None,
-    kernels: Sequence[ArrayKernels | None] | None = None,
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """The forward and backward sweep of `net` at input `a`.
 
     `erosion` is the output loss's erosion.  Layer i's weights are
     `weights[i]`, which the caller guarantees hold the layer's shape:
-    an array of its numpy kernels `kernels[i]` or, where that is None,
-    its row-major entry tuple; by default, the layer's own entries and
-    no numpy kernels.  Returns the states a_0..a_m, the erosions
+    its row-major entry tuple or its `ArrayWeights`; by default, the
+    layer's own entries.  Returns the states a_0..a_m, the erosions
     e_0..e_m (e_m at the output, e_0 at the input) and the error signals
     s_1..s_m, one per layer, all against those weights.  Layer i's
     gradient is `outer(s_i, a_(i-1) + (1.0,))`.  A forward pass that
@@ -126,13 +123,11 @@ def sweep(
     layers = net.layers
     if weights is None:
         weights = [layer.transition.entries for layer in layers]
-    if kernels is None:
-        kernels = (None,) * len(layers)
     states = [a]
     pre_activations = []
-    for idx, (layer, w, k) in enumerate(zip(layers, weights, kernels)):
+    for idx, (layer, w) in enumerate(zip(layers, weights)):
         # `Network` guarantees the state has this layer's input length
-        z = _affine(w, states[-1]) if k is None else k.affine(w, states[-1])
+        z = _affine(w, states[-1]) if type(w) is tuple else w.affine(states[-1])
         try:
             y = act_map(layer.activation, z)
         except DomainError as exc:
@@ -148,9 +143,9 @@ def sweep(
     erosions = [e]
     signals = []
     for idx in range(len(layers) - 1, -1, -1):
-        layer, w, k = layers[idx], weights[idx], kernels[idx]
+        layer, w = layers[idx], weights[idx]
         s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
-        e = _pushback_entries(w, len(states[idx]) + 1, s) if k is None else k.pushback(w, s)
+        e = _pushback_entries(w, len(states[idx]) + 1, s) if type(w) is tuple else w.pushback(s)
         signals.append(s)
         erosions.append(e)
     return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))

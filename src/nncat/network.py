@@ -45,9 +45,9 @@ class Layer:
     activation: Activation
     mask: BoolMat | None = None
     bias_mutable: BoolRow | None = None
-    # An opaque object that the step which built this layer leaves for
-    # the next step, or None; see `Network._with_weights`, the one place
-    # that sets it.  It is not a field, so equality, `repr` and
+    # The immutable step weights that the step which built this layer
+    # leaves for the next step, or None; see `Network._with_weights`, the
+    # one place that sets it.  It is not a field, so equality, `repr` and
     # serialization never see it.
     _carried: ClassVar[Any] = None
 
@@ -151,10 +151,9 @@ class Network:
         its O(depth) public check.
 
         `carried[i]`, where it is not None, becomes new layer i's
-        `_carried`.  This module never reads it.  The step passes its
-        numpy kernels and the updated weights array, from which
-        `weights[i]` was stored, made read-only before the call: nothing
-        writes that array afterwards, so it holds `weights[i]` for the
+        `_carried`.  This module never reads it.  The step passes the
+        `ArrayWeights` from which it stored `weights[i]`: their array is
+        read-only from construction, so it holds `weights[i]` for the
         life of the layer.
         """
         layers = []

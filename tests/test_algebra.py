@@ -66,6 +66,14 @@ class TestMat:
         assert Mat(0, 3, ()).cols == 3
         assert Mat.from_rows([(), ()]).cols == 0
 
+    def test_entries_from_a_list_are_stored_as_a_tuple(self):
+        values = [0.5, 0.25]
+        m = Mat(1, 2, values)
+        twin = Mat(1, 2, (0.5, 0.25))
+        assert m == twin and hash(m) == hash(twin)
+        values[0] = float("nan")
+        assert m.entries == (0.5, 0.25)
+
     def test_negative_dimensions_rejected(self):
         with pytest.raises(ShapeError, match=r"^negative dimensions -1x2$"):
             Mat(-1, 2, ())

@@ -5,7 +5,7 @@ Mazur net, stepping an 8-16-16-8 net or checking its gradients:
 importing numpy costs a short run more time and memory than its whole
 step.  So the import happens inside the kernel choice, and
 `backprop.WIDE_SIDE` keeps every layer of those nets, at most 16 x 17,
-on the pure kernels; none of their layers carries a numpy array into
+on the pure kernels; none of their layers carries numpy weights into
 the next step.
 Without numpy, a wide layer steps on the pure kernels too.  Neither
 test needs numpy installed.
@@ -76,7 +76,7 @@ def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     monkeypatch.setitem(sys.modules, "nncat._vectorized", None)
     monkeypatch.delattr("nncat._vectorized", raising=False)
     monkeypatch.setattr(backprop, "_vectorized", None)
-    assert backprop._kernels(net) == [None]
+    assert backprop._loaded(net) == [net.layers[0].transition.entries]
     assert backprop._vectorized is False
     got, _ = backprop.backprop_step(net, x, loss)
     assert got == want

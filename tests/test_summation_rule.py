@@ -8,10 +8,12 @@ a left-to-right loop rewritten with it would change the bits on 3.12
 alone.
 
 Nor does it use the `@` operator or call `dot`, `matmul`, `einsum`,
-`inner`, `tensordot`, `vdot`, `cumsum` or `reduce`.  numpy's products
-and reductions sum pairwise, in blocks or through BLAS, which may fuse a
-multiply and an add, so the numpy kernels would no longer give the pure
-kernels' bits.  `functools.reduce` is banned with them, as the name
+`inner`, `tensordot`, `vdot`, `cumsum`, `reduce`, `mean`, `average`,
+`nansum`, `nanmean`, `var`, `std`, `norm`, `convolve` or `correlate`.
+numpy's products and reductions sum pairwise, in blocks or through
+BLAS, which may fuse a multiply and an add, and `convolve` and
+`correlate` run their own inner-product loops, so the numpy kernels
+would no longer give the pure kernels' bits.  `functools.reduce` is banned with them, as the name
 alone cannot tell the two apart.  `itertools.accumulate`, which the
 oracle uses for its running sums, adds left to right and is allowed.
 
@@ -30,6 +32,7 @@ import nncat
 FORBIDDEN = {
     "sum", "fsum", "sumprod",
     "dot", "matmul", "einsum", "inner", "tensordot", "vdot", "cumsum", "reduce",
+    "mean", "average", "nansum", "nanmean", "var", "std", "norm", "convolve", "correlate",
 }
 
 
@@ -79,6 +82,16 @@ def test_no_builtin_float_summation():
         "np.cumsum(xs)",
         "np.add.reduce(xs)",
         "functools.reduce(operator.add, xs)",
+        "np.mean(xs)",
+        "xs.mean()",
+        "np.average(xs, weights=ws)",
+        "np.nansum(xs)",
+        "np.nanmean(xs)",
+        "np.var(xs)",
+        "xs.std()",
+        "np.linalg.norm(s)",
+        "np.convolve(s, w)",
+        "np.correlate(s, w)",
     ],
 )
 def test_the_rule_catches(source):

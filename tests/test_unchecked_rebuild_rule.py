@@ -8,10 +8,10 @@ place that decides which values are trusted, so the rule is checked on
 the source.
 
 The same rebuild is the one place that sets `Layer._carried`, the
-numpy kernels and read-only weights array that a step leaves for the
-next step on the layer.  That array must hold the layer's entries, which
-only the rebuild sees together with it, so a write of `_carried` anywhere
-else breaks the rule too.
+immutable `ArrayWeights` that a step leaves for the next step on the
+layer.  Those weights must hold the layer's entries, which only the
+rebuild sees together with them, so a write of `_carried` anywhere else
+breaks the rule too.
 """
 
 import ast

@@ -1,7 +1,7 @@
 """The numpy kernels against the pure ones, bit for bit.
 
 A layer with at least `backprop.WIDE_SIDE` rows and columns steps on
-`_vectorized.ArrayKernels` when numpy can be imported; every other
+`_vectorized.ArrayWeights` when numpy can be imported; every other
 layer steps on the pure kernels, the reference: `algebra._affine`,
 `backward._pushback_entries` and `backprop._updated_entries`.  Both
 must give the same floats, compared as IEEE 754 bits: the updated
@@ -16,11 +16,12 @@ Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
 every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
 weights near 1e154 and a rate of 1e300.
 
-A layer that a numpy step rebuilt carries its kernels and its weights
-array into the next step on it.  Chains of steps on the carried arrays
-must equal chains of pure steps, bit for bit, and a step must never
-write a carried array, nor use one where the width rule picks the pure
-kernels.
+A layer that a numpy step rebuilt carries its `ArrayWeights` into the
+next step on it.  Chains of steps on the carried weights must equal
+chains of pure steps, bit for bit.  The weights are values: every array
+is read-only from construction, a step never changes weights that a
+layer carries, and the width rule picks the pure kernels whatever a
+layer carries.
 """
 
 import random
@@ -34,13 +35,13 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from nncat import backprop  # noqa: E402
-from nncat._vectorized import ArrayKernels  # noqa: E402
+from nncat._vectorized import ArrayWeights  # noqa: E402
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
-from nncat.algebra import DomainError, _affine  # noqa: E402
+from nncat.algebra import DomainError, Mat, _affine  # noqa: E402
 from nncat.backward import _pushback_entries  # noqa: E402
 from nncat.fileio import parse_network, serialize_network  # noqa: E402
 from nncat.loss import squared_error, validity  # noqa: E402
-from nncat.network import Network, make_layer, net_forward  # noqa: E402
+from nncat.network import Layer, Network, make_layer, net_forward  # noqa: E402
 from nncat.randnet import random_layer, random_state  # noqa: E402
 
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
@@ -73,6 +74,13 @@ def step_bits(stepped, trace):
         [bits(v) for v in trace.erosions],
         [bits(v) for v in trace.signals],
     )
+
+
+def assert_read_only(weights):
+    """A write to either array of `weights` raises."""
+    for array in (weights.array, weights.frozen):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def step(net, a, loss, side):
@@ -146,11 +154,11 @@ def test_kernels_equal_pure_kernels(data):
     x = tuple(data.draw(value) for _ in range(n))
     s = tuple(data.draw(value) for _ in range(rows))
     entries = layer.transition.entries
-    vectorized = ArrayKernels(layer)
-    weights = vectorized.load(entries)
-    assert bits(vectorized.store(weights)) == bits(entries)
-    assert bits(vectorized.affine(weights, x)) == bits(_affine(entries, x))
-    assert bits(vectorized.pushback(weights, s)) == bits(_pushback_entries(entries, n + 1, s))
+    weights = ArrayWeights.of(layer)
+    assert_read_only(weights)
+    assert bits(weights.entries()) == bits(entries)
+    assert bits(weights.affine(x)) == bits(_affine(entries, x))
+    assert bits(weights.pushback(s)) == bits(_pushback_entries(entries, n + 1, s))
     inp = x + (1.0,)
     if not backprop._products_finite(s, inp):
         return
@@ -158,10 +166,25 @@ def test_kernels_equal_pure_kernels(data):
         want = backprop._updated_entries(layer, entries, s, inp)
     except DomainError as exc:
         with pytest.raises(DomainError) as caught:
-            vectorized.update(weights, s, inp)
+            weights.update(s, inp)
         assert str(caught.value) == str(exc)
         return
-    assert bits(vectorized.store(vectorized.update(weights, s, inp))) == bits(want)
+    updated = weights.update(s, inp)
+    assert_read_only(updated)
+    assert bits(updated.entries()) == bits(want)
+    assert bits(weights.entries()) == bits(entries)
+
+
+@pytest.mark.parametrize("side", [ALL_PURE, ALL_NUMPY])
+def test_a_layer_built_from_a_list_steps_like_its_tuple_twin(side):
+    """The step tells entry tuples from `ArrayWeights` by type, which
+    holds because a `Mat` stores its entries as a tuple."""
+    net = Network.chain([Layer(Mat(1, 2, [0.5, 0.25]), SIGMOID)])
+    twin = Network.chain([Layer(Mat(1, 2, (0.5, 0.25)), SIGMOID)])
+    a, loss = (-1.5,), squared_error((0.75,), 0.5)
+    want = step(twin, a, loss, ALL_PURE)
+    assert isinstance(want, tuple)
+    assert step(net, a, loss, side) == want
 
 
 def wide_net(rng, dims, density, weight_scale=None):
@@ -186,7 +209,7 @@ def test_widths_on_both_sides_of_the_constant(density):
     chained steps equal three pure steps."""
     rng = random.Random(7)
     net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), density)
-    chosen = [isinstance(k, ArrayKernels) for k in backprop._kernels(net)]
+    chosen = [isinstance(w, ArrayWeights) for w in backprop._loaded(net)]
     assert chosen == [True, False, True]
     for _ in range(3):
         a, target = random_state(rng, WIDE, 1.0), random_state(rng, WIDE, 0.9)
@@ -201,7 +224,7 @@ def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
     dataset = [
         (random_state(rng, WIDE + 3, 1.0), random_state(rng, WIDE + 2, 0.9)) for _ in range(3)
     ]
-    assert all(isinstance(k, ArrayKernels) for k in backprop._kernels(net))
+    assert all(isinstance(w, ArrayWeights) for w in backprop._loaded(net))
     trained, losses = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
 
     monkeypatch.setattr(backprop, "WIDE_SIDE", ALL_PURE)
@@ -278,32 +301,33 @@ def test_a_forward_pass_that_leaves_the_floats_raises_the_pure_text():
     assert got == step(net, (2.0,) * WIDE, loss, ALL_PURE)
 
 
-# A layer rebuilt by a numpy step carries its kernels and its weights
-# array, `Layer._carried`, into the next step on it.
+# A layer rebuilt by a numpy step carries its `ArrayWeights`,
+# `Layer._carried`, into the next step on it.
 
 
 def carries(net):
-    """Which layers carry an array, and is each carried array read-only
-    and equal, as bits, to its layer's entries?"""
+    """Which layers carry weights, and are the carried weights read-only
+    and equal, as bits, to their layer's entries?"""
     for layer in net.layers:
         if layer._carried is not None:
-            weights = layer._carried[1]
-            assert not weights.flags.writeable
-            assert bits(weights.ravel().tolist()) == bits(layer.transition.entries)
+            assert_read_only(layer._carried)
+            assert bits(layer._carried.entries()) == bits(layer.transition.entries)
     return [layer._carried is not None for layer in net.layers]
 
 
 def counted_loads(monkeypatch):
     """A list that grows by one each time a step loads a layer's entries
-    into an array."""
+    into an array, rather than taking the weights the layer carries."""
     loads = []
-    load = ArrayKernels.load
+    of = ArrayWeights.of.__func__
 
-    def counted(kernels, entries):
-        loads.append(entries)
-        return load(kernels, entries)
+    def counted(cls, layer):
+        weights = of(cls, layer)
+        if weights is not layer._carried:
+            loads.append(layer)
+        return weights
 
-    monkeypatch.setattr(ArrayKernels, "load", counted)
+    monkeypatch.setattr(ArrayWeights, "of", classmethod(counted))
     return loads
 
 
@@ -325,7 +349,7 @@ def chained(net, cases, side):
 )
 def test_a_chain_of_carried_steps_equals_the_pure_chain(monkeypatch, side, carried):
     """16 chained steps: only the first loads a numpy layer's entries,
-    the other 15 start from the arrays that the step before carried."""
+    the other 15 start from the weights that the step before carried."""
     rng = random.Random(23)
     net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), 0.9)
     cases = [
@@ -342,16 +366,24 @@ def test_a_chain_of_carried_steps_equals_the_pure_chain(monkeypatch, side, carri
 
 
 def test_stepping_a_stepped_network_twice_gives_equal_bits():
-    """Each step updates its own copy of the carried arrays.  The
-    carried arrays are not part of the network's value: its parsed copy
-    is equal to it and carries nothing."""
+    """A step leaves the weights that its network's layers carry as they
+    were, the same objects with the same bits, and its new layers carry
+    new ones.  The carried weights are not part of the network's value:
+    its parsed copy is equal to it and carries nothing."""
     rng = random.Random(29)
     net = wide_net(rng, (WIDE + 2, WIDE, WIDE + 1), 0.5)
     a, target = random_state(rng, WIDE + 2, 1.0), random_state(rng, WIDE + 1, 0.9)
     loss = squared_error(target, 0.1)
     stepped, _ = backprop.backprop_step(net, a, loss)
     assert carries(stepped) == [True, True]
-    first = step_bits(*backprop.backprop_step(stepped, a, loss))
+    held = [(layer._carried, bits(layer._carried.entries())) for layer in stepped.layers]
+    again, trace = backprop.backprop_step(stepped, a, loss)
+    assert carries(again) == [True, True]
+    for layer, new, (weights, was) in zip(stepped.layers, again.layers, held, strict=True):
+        assert layer._carried is weights
+        assert bits(weights.entries()) == was
+        assert new._carried is not weights
+    first = step_bits(again, trace)
     assert first == step_bits(*backprop.backprop_step(stepped, a, loss))
     parsed = parse_network(serialize_network(stepped))
     assert stepped == parsed
@@ -379,7 +411,7 @@ def test_an_overflowing_step_leaves_the_carried_arrays_as_they_were(scales, rate
 
 
 def test_the_width_rule_decides_whatever_a_layer_carries(monkeypatch):
-    """A network stepped with every layer on numpy carries arrays for
+    """A network stepped with every layer on numpy carries weights for
     its narrow layers too; the width rule sends them back to the pure
     kernels, which carry nothing."""
     rng = random.Random(31)
@@ -390,7 +422,7 @@ def test_the_width_rule_decides_whatever_a_layer_carries(monkeypatch):
     fresh = parse_network(serialize_network(stepped))
     for side in (ALL_PURE, WIDE):
         monkeypatch.setattr(backprop, "WIDE_SIDE", side)
-        assert backprop._kernels(stepped) == [None, None]
+        assert backprop._loaded(stepped) == [layer.transition.entries for layer in stepped.layers]
         again, trace = backprop.backprop_step(stepped, a, loss)
         assert carries(again) == [False, False]
         assert step_bits(again, trace) == step(fresh, a, loss, ALL_PURE)

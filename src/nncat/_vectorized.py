@@ -37,8 +37,8 @@ from .network import Layer
 
 class ArrayWeights:
     """One layer's step weights, a value: its entries as a rows x cols
-    float64 array and its frozen positions (mask and bias flags off) as
-    a boolean array of the same shape, both read-only from construction.
+    float64 array and its frozen positions (`Layer.mutable` off) as a
+    boolean array of the same shape, both read-only from construction.
     The kernels read them; `update` returns new weights and writes only
     the array it allocates, so no step changes weights that a layer
     carries."""
@@ -57,11 +57,7 @@ class ArrayWeights:
         if layer._carried is not None:
             return layer._carried
         t = layer.transition
-        frozen = np.empty((t.rows, t.cols), dtype=bool)
-        mask = np.frombuffer(b"".join(map(bytes, layer.mask)), dtype=bool)
-        frozen[:, :-1] = mask.reshape(t.rows, t.cols - 1)
-        frozen[:, -1] = layer.bias_mutable
-        np.logical_not(frozen, out=frozen)
+        frozen = ~np.frombuffer(bytes(layer.mutable), dtype=bool).reshape(t.rows, t.cols)
         array = np.fromiter(t.entries, dtype=float, count=len(t.entries))
         return cls(array.reshape(t.rows, t.cols), frozen)
 

@@ -141,15 +141,15 @@ def _rebuilt(net: Network, weights: Sequence[Any]) -> Network:
 
 
 def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
-    """The pure update of the layer's row-major `entries`: each mutable
-    entry becomes w - s_j * inp_i, each frozen one stays w.  The first
-    new entry that is not finite raises the error the updated matrix
-    would have raised."""
-    cols = len(inp)
+    """The pure update of the layer's row-major `entries`: each entry
+    that `layer.mutable` flags becomes w - s_j * inp_i, each other one
+    stays w.  The first new entry that is not finite raises the error
+    the updated matrix would have raised."""
+    cols, mutable = len(inp), layer.mutable
     new = [
         w - sj * ai if f else w
-        for sj, k, mrow, b in zip(s, range(0, len(entries), cols), layer.mask, layer.bias_mutable)
-        for w, ai, f in zip(entries[k : k + cols], inp, mrow + (b,))
+        for sj, k in zip(s, range(0, len(entries), cols))
+        for w, ai, f in zip(entries[k : k + cols], inp, mutable[k : k + cols])
     ]
     if not all(map(math.isfinite, new)):
         _require_finite(new, "matrix entry")
@@ -219,7 +219,7 @@ def functoriality_check(
     The left step of the pair sees the loss pulled back through the
     right part; the right step sees the state forwarded through the left
     part.  True iff every updated transition entry matches within tol
-    and masks/activations are identical.
+    and activations and `Layer.mutable` flags are identical.
     """
     whole, _ = backprop_step(compose(first, second), a, loss)
     left, _ = backprop_step(first, a, transform_loss(second, loss))
@@ -227,9 +227,7 @@ def functoriality_check(
     split = compose(left, right)
 
     for got, want in zip(whole.layers, split.layers, strict=True):
-        if got.activation != want.activation:
-            return False
-        if got.mask != want.mask or got.bias_mutable != want.bias_mutable:
+        if got.activation != want.activation or got.mutable != want.mutable:
             return False
         for x, y in zip(got.transition.entries, want.transition.entries):
             if abs(x - y) > tol:

@@ -187,7 +187,8 @@ def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:
 
 
 def masked_update(layer: Layer, g: Gradient) -> Layer:
-    """Subtract the gradient at mutable positions; freeze the rest.
+    """Subtract the gradient at the positions `layer.mutable` flags;
+    freeze the rest.
 
     Frozen entries are copied bitwise rather than updated with a zeroed
     gradient, so no arithmetic (signed zeros, rounding) can touch them.
@@ -198,10 +199,5 @@ def masked_update(layer: Layer, g: Gradient) -> Layer:
         raise ShapeError(
             f"gradient is {m.rows}x{m.cols}, transition is {t.rows}x{t.cols}"
         )
-    new_entries: list[float] = []
-    for j, (row_mask, bias_flag) in enumerate(zip(layer.mask, layer.bias_mutable)):
-        mutable = row_mask + (bias_flag,)
-        new_entries += [w - d if f else w for w, d, f in zip(t.row(j), m.row(j), mutable)]
-    return Layer(
-        Mat(t.rows, t.cols, tuple(new_entries)), layer.activation, layer.mask, layer.bias_mutable
-    )
+    new = tuple(w - d if f else w for w, d, f in zip(t.entries, m.entries, layer.mutable))
+    return Layer(Mat(t.rows, t.cols, new), layer.activation, layer.mask, layer.bias_mutable)

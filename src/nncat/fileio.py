@@ -114,29 +114,25 @@ def network_from_json(doc: object) -> Network:
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
 
+        # only the JSON types here: `Layer` checks both shapes, and its
+        # error reaches the user below, naming the layer
         mask = entry.get("mask")
         if mask is not None:
             _require(
                 isinstance(mask, list)
-                and len(mask) == len(bias)
                 and all(
-                    isinstance(row, list)
-                    and len(row) == n
-                    and all(isinstance(v, bool) for v in row)
+                    isinstance(row, list) and all(isinstance(v, bool) for v in row)
                     for row in mask
                 ),
                 f"{where}: mask must be a {len(bias)}x{n} boolean array",
             )
-            mask = tuple(tuple(row) for row in mask)
         bias_mutable = entry.get("bias_mutable")
         if bias_mutable is not None:
             _require(
                 isinstance(bias_mutable, list)
-                and len(bias_mutable) == len(bias)
                 and all(isinstance(v, bool) for v in bias_mutable),
                 f"{where}: bias_mutable must be a length-{len(bias)} boolean array",
             )
-            bias_mutable = tuple(bias_mutable)
 
         try:
             layers.append(make_layer(weights, bias, activation, mask, bias_mutable, in_dim=n))

@@ -19,6 +19,7 @@ pre-activation there, so the two agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, ClassVar, Sequence
 
 from .activation import Activation, act_map
@@ -38,7 +39,9 @@ class Layer:
 
     `transition` is out_dim x (in_dim + 1); its last column is the bias.
     `mask` covers the weight columns only; bias mutability is tracked
-    separately per output node.  Both default to fully mutable.
+    separately per output node.  Both default to fully mutable, and this
+    class checks both shapes.  `mutable` combines them, entry by entry,
+    for every step's update.
     """
 
     transition: Mat
@@ -70,6 +73,14 @@ class Layer:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "bias_mutable", bias_mutable)
 
+    @cached_property
+    def mutable(self) -> BoolRow:
+        """One flag per transition entry, row-major, True where a step
+        may change it: each row's mask, then that row's bias flag.  Built
+        on first read and kept on the instance, outside the fields, so
+        equality, hashing and `repr` never see it."""
+        return tuple(f for row, b in zip(self.mask, self.bias_mutable) for f in row + (b,))
+
     @property
     def in_dim(self) -> int:
         return self.transition.cols - 1
@@ -90,11 +101,9 @@ def make_layer(
     """Assemble a layer from separate weight rows and a bias vector.
 
     `in_dim` is only consulted when there are no rows to read it from.
+    `Mat.from_rows` converts the entries to floats.
     """
-    rows = [
-        tuple(float(v) for v in w) + (float(b),)
-        for w, b in zip(weights, bias, strict=True)
-    ]
+    rows = [tuple(w) + (b,) for w, b in zip(weights, bias, strict=True)]
     if rows:
         transition = Mat.from_rows(rows)
     else:

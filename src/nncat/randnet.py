@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .activation import ACTIVATIONS, Activation
 from .algebra import Vec
-from .network import Layer, Network, full_mask, make_layer
+from .network import Layer, Network, make_layer
 
 
 def random_state(rng: random.Random, dim: int, scale: float = 2.0) -> Vec:
@@ -39,8 +39,7 @@ def random_layer(
     ]
     bias = [rng.uniform(-weight_scale, weight_scale) for _ in range(out_dim)]
     if mask_density >= 1.0:
-        mask = full_mask(out_dim, in_dim)
-        bias_mutable = (True,) * out_dim
+        mask = bias_mutable = None
     else:
         mask = tuple(
             tuple(rng.random() < mask_density for _ in range(in_dim))

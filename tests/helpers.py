@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 from nncat import Network, make_layer, squared_error
 from nncat.activation import ACTIVATIONS, SIGMOID
+from nncat.backprop import backprop_step
+from nncat.loss import transform_loss
+from nncat.network import compose, net_forward
 
 # The worked two-layer example: weights, input, target, rate.
 FIRST_WEIGHTS = ((0.15, 0.2), (0.25, 0.3))
@@ -109,3 +113,17 @@ def max_entry_dev(a, b) -> float:
     """Largest absolute entry difference between two same-shape matrices."""
     assert (a.rows, a.cols) == (b.rows, b.cols)
     return max((abs(x - y) for x, y in zip(a.entries, b.entries)), default=0.0)
+
+
+def law_sides(first, second, a, loss):
+    """Both sides of compositionality as the bits of every updated entry:
+    the step of `compose(first, second)`, and the composite of the step
+    of `first` against the loss pulled back through `second` with the
+    step of `second` at the state `first` forwards."""
+    whole, _ = backprop_step(compose(first, second), a, loss)
+    left, _ = backprop_step(first, a, transform_loss(second, loss))
+    right, _ = backprop_step(second, net_forward(first, a), loss)
+    return tuple(
+        [struct.pack("<d", w) for layer in net.layers for w in layer.transition.entries]
+        for net in (whole, compose(left, right))
+    )

@@ -1,0 +1,197 @@
+"""The mutation gate: plant one fault at a time in a copy of the package
+and require the tests named for it to fail.
+
+    python tests/mutants.py
+
+Each row of `MUTANTS` is (name, file, exact old text, new text, targets).
+A target is a test file or a test node id.  The gate copies `src/` and
+`tests/` into one temporary root, since a test starts subprocesses on
+the `src` beside its own directory, and runs pytest there with no
+bytecode written, a fixed hypothesis seed and no shrinking (the gate
+needs a failing example, not the smallest one):
+
+- the unmutated copy must pass every target of every row, in one run;
+- for each row, the old text must occur exactly once in its file, so a
+  refactor that changes a mutated line must update its row; the gate
+  writes the new text, runs each target on its own and restores the
+  file;
+- a target kills the mutant when pytest reports a failed test (exit 1).
+
+The gate exits 0 when every target kills its mutant, and 1 otherwise.
+It needs pytest and hypothesis, and numpy for the rows on
+`_vectorized.py` and the numpy tests.  Too slow for the tier-1 suite, so
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a pytest plugin, written into the copy, that registers the gate's
+# hypothesis profile
+PROFILE = """from hypothesis import Phase, settings
+
+settings.register_profile("gate", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+"""
+
+MUTANTS = [
+    (
+        "Layer.mutable ignores the bias flags",
+        "src/nncat/network.py",
+        "for f in row + (b,))",
+        "for f in row + (True,))",
+        ["tests/test_backward.py", "tests/test_network.py"],
+    ),
+    (
+        "Layer's mask-shape check off",
+        "src/nncat/network.py",
+        "if len(mask) != k or any(len(r) != n for r in mask):",
+        "if False:",
+        ["tests/test_fileio.py", "tests/test_network.py"],
+    ),
+    (
+        "the parser's bool check on mask entries off",
+        "src/nncat/fileio.py",
+        "isinstance(row, list) and all(isinstance(v, bool) for v in row)",
+        "isinstance(row, list)",
+        ["tests/test_fileio.py"],
+    ),
+    (
+        "random_layer draws masks at density 1.0",
+        "src/nncat/randnet.py",
+        "if mask_density >= 1.0:",
+        "if mask_density > 1.0:",
+        ["tests/test_cli.py", "tests/test_network.py"],
+    ),
+    (
+        "ArrayWeights.of without the negation",
+        "src/nncat/_vectorized.py",
+        "frozen = ~np.frombuffer(",
+        "frozen = np.frombuffer(",
+        ["tests/test_vectorized.py"],
+    ),
+    (
+        "the numpy pushback summed in descending j",
+        "src/nncat/_vectorized.py",
+        "for row in products:",
+        "for row in products[::-1]:",
+        [
+            "tests/test_vectorized.py",
+            "tests/test_vectorized.py::test_compositionality_is_bitwise_across_kernel_kinds",
+        ],
+    ),
+    (
+        "the pure pushback summed in descending j",
+        "src/nncat/backward.py",
+        "for sj, w in zip(s, entries[i::cols]):",
+        "for sj, w in reversed(list(zip(s, entries[i::cols]))):",
+        ["tests/test_vectorized.py", "tests/test_differential.py"],
+    ),
+    (
+        "the pure update ignores the mask",
+        "src/nncat/backprop.py",
+        "w - sj * ai if f else w",
+        "w - sj * ai",
+        ["tests/test_backprop.py", "tests/test_vectorized.py"],
+    ),
+    (
+        "the step skips layer 0",
+        "src/nncat/backprop.py",
+        "for idx in range(len(weights) - 1, -1, -1):",
+        "for idx in range(len(weights) - 1, 0, -1):",
+        ["tests/test_backprop.py"],
+    ),
+    (
+        "the sigmoid shortcut regrouped",
+        "src/nncat/backward.py",
+        "(e * v) * (1.0 - v)",
+        "e * (v * (1.0 - v))",
+        ["tests/test_backprop.py"],
+    ),
+    (
+        "WIDE_SIDE = 16",
+        "src/nncat/backprop.py",
+        "WIDE_SIDE = 17",
+        "WIDE_SIDE = 16",
+        ["tests/test_numpy_optional.py"],
+    ),
+    (
+        "cli.main catches only OSError",
+        "src/nncat/cli.py",
+        "except (OSError, ValueError) as exc:",
+        "except OSError as exc:",
+        ["tests/test_cli.py"],
+    ),
+]
+
+
+def pytest(root: Path, targets: list[str]) -> int:
+    """pytest's exit code for `targets`, run in `root` on `root/src`."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root), os.environ.get("PYTHONPATH")) if p
+    )
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "-p", "gate_profile", "--hypothesis-profile=gate", "--hypothesis-seed=0", *targets,
+    ]
+    done = subprocess.run(
+        command, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    return done.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="nncat-mutants-") as tmp:
+        root = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part, ignore=skip)
+        (root / "gate_profile.py").write_text(PROFILE, encoding="utf-8")
+
+        targets = sorted({t for *_, kills in MUTANTS for t in kills})
+        code = pytest(root, targets)
+        if code != 0:
+            print(f"the unmutated copy fails its targets (pytest exit {code})")
+            return 1
+
+        failures = []
+        for name, file, old, new, kills in MUTANTS:
+            path = root / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                failures.append(f"{name}: {old!r} occurs {text.count(old)} times in {file}")
+                print(f"STALE     {failures[-1]}")
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                for target in kills:
+                    start = time.perf_counter()
+                    code = pytest(root, [target])
+                    verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                    seconds = time.perf_counter() - start
+                    print(f"{verdict:9} {name}: {target} ({seconds:.1f} s)", flush=True)
+                    if code != 1:
+                        failures.append(f"{name}: {target} gave pytest exit {code}")
+            finally:
+                path.write_text(text, encoding="utf-8")
+
+    if failures:
+        print(f"{len(failures)} of the gate's checks failed:")
+        for line in failures:
+            print(f"  {line}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed by every target")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

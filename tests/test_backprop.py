@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nncat.algebra import DomainError, ShapeError, hadamard, kleisli_apply, outer, vec_mat, weights_part
 from nncat.activation import IDENTITY, TANH, act_deriv_map
@@ -17,6 +18,7 @@ from helpers import (
     TARGET,
     TOL8,
     all_activations,
+    law_sides,
     mazur_loss,
     mazur_network,
     max_entry_dev,
@@ -205,6 +207,48 @@ class TestFunctoriality:
             max_entry_dev(a.transition, b.transition) > 1e-12
             for a, b in zip(stepped.layers, other.layers)
         )
+
+
+# a mutable flag at mask density 1, 0.5 and 0.1
+FLAGS = [st.just(True), st.booleans(), st.sampled_from((True,) + (False,) * 9)]
+
+
+@st.composite
+def pure_splits(draw):
+    """(first, second, a, loss): 1-3 layers on each side, dims 1-5, any
+    activation, one mask density."""
+    weight, state = st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
+    flag = draw(st.sampled_from(FLAGS))
+    sides = []
+    dim = draw(st.integers(1, 5))
+    for _ in range(2):
+        layers = []
+        for _ in range(draw(st.integers(1, 3))):
+            n, dim = dim, draw(st.integers(1, 5))
+            layers.append(
+                make_layer(
+                    [[draw(weight) for _ in range(n)] for _ in range(dim)],
+                    [draw(weight) for _ in range(dim)],
+                    draw(st.sampled_from(all_activations())),
+                    tuple(tuple(draw(flag) for _ in range(n)) for _ in range(dim)),
+                    tuple(draw(flag) for _ in range(dim)),
+                )
+            )
+        sides.append(Network.chain(layers))
+    first, second = sides
+    a = draw(st.tuples(*[state] * first.in_dim))
+    target = draw(st.tuples(*[state] * second.out_dim))
+    return first, second, a, squared_error(target, draw(st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=pure_splits())
+def test_compositionality_is_bitwise(case):
+    """Backprop is functorial by construction: the step of a composite
+    has, entry for entry, the bits of the composite of its parts' steps,
+    so 0.0 and -0.0 differ too."""
+    whole, split = law_sides(*case)
+    assert whole == split
 
 
 class TestTrain:

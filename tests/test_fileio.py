@@ -142,16 +142,36 @@ class TestNetworkParsing:
         with pytest.raises(FileFormatError, match="layer 0"):
             self.parse(doc)
 
-    def test_bad_mask_shape(self):
+    # the parser checks JSON types only; `Layer` checks the shapes, and
+    # the parser reports its error with the layer
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("mask", [[True], [True]], "mask must be 2x2"),
+            ("mask", [[True, True]], "mask must be 2x2"),
+            ("mask", [[True, True], [True]], "mask must be 2x2"),
+            ("bias_mutable", [True], "bias_mutable must have length 2"),
+        ],
+        ids=["short-rows", "row-count", "one-short-row", "bias-flags"],
+    )
+    def test_bad_mask_shape(self, key, value, expected):
         doc = self.base_doc()
-        doc["layers"][0]["mask"] = [[True], [True]]
-        with pytest.raises(FileFormatError, match="mask"):
+        doc["layers"][0][key] = value
+        with pytest.raises(FileFormatError, match=f"^layer 0: {expected}"):
             self.parse(doc)
 
     def test_mask_entries_must_be_booleans(self):
         doc = self.base_doc()
         doc["layers"][0]["mask"] = [[1, 0], [1, 1]]
         with pytest.raises(FileFormatError, match="mask"):
+            self.parse(doc)
+
+    def test_bias_flags_must_be_booleans(self):
+        doc = self.base_doc()
+        doc["layers"][0]["bias_mutable"] = [1, 0]
+        with pytest.raises(
+            FileFormatError, match="^layer 0: bias_mutable must be a length-2 boolean array$"
+        ):
             self.parse(doc)
 
     def test_missing_file_mentions_path(self, tmp_path):

@@ -14,7 +14,7 @@ from nncat.network import (
     make_layer,
     net_forward,
 )
-from nncat.randnet import random_network, random_state
+from nncat.randnet import random_layer, random_network, random_state
 
 from helpers import (
     FIRST_BIAS,
@@ -70,6 +70,48 @@ class TestLayerConstruction:
         assert rebuilt.mask is layer.mask
         assert rebuilt.bias_mutable is layer.bias_mutable
         assert rebuilt.activation is layer.activation
+
+
+class TestMutableFlags:
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (1, 1), (2, 5), (4, 3)])
+    def test_mask_then_bias_flag_per_row(self, rows, cols):
+        rng = random.Random(rows * 10 + cols)
+        for _ in range(10):
+            mask = tuple(tuple(rng.random() < 0.5 for _ in range(cols)) for _ in range(rows))
+            bias_mutable = tuple(rng.random() < 0.5 for _ in range(rows))
+            layer = make_layer(
+                [[0.5] * cols] * rows, [0.25] * rows, SIGMOID, mask, bias_mutable, in_dim=cols
+            )
+            want = tuple(f for row, b in zip(mask, bias_mutable) for f in row + (b,))
+            assert layer.mutable == want
+            assert len(layer.mutable) == rows * (cols + 1)
+            assert layer.mutable is layer.mutable
+
+    def test_default_layer_is_mutable_everywhere(self):
+        assert make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID).mutable == (True,) * 6
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        read, twin = (
+            make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID, mask=((True, False), (False, True)))
+            for _ in range(2)
+        )
+        before = repr(read)
+        assert read.mutable == (True, False, True, False, True, True)
+        assert read == twin and hash(read) == hash(twin)
+        assert repr(read) == before == repr(twin)
+
+
+class TestRandomLayer:
+    def test_density_one_is_the_default_layer(self):
+        layer = random_layer(random.Random(5), 3, 2, SIGMOID, mask_density=1.0)
+        t = layer.transition
+        assert layer == Layer(t, SIGMOID)
+        assert layer.mask == full_mask(2, 3) and layer.bias_mutable == (True, True)
+
+    def test_density_one_draws_no_flags(self):
+        rng = random.Random(5)
+        random_layer(rng, 3, 2, SIGMOID, mask_density=1.0)
+        assert rng.random() == 0.9433567169983137
 
 
 class TestNetworkConstruction:

@@ -44,6 +44,8 @@ from nncat.loss import squared_error, validity  # noqa: E402
 from nncat.network import Layer, Network, make_layer, net_forward  # noqa: E402
 from nncat.randnet import random_layer, random_state  # noqa: E402
 
+from helpers import law_sides, random_loss  # noqa: E402
+
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 ALL_NUMPY = 0
 ALL_PURE = 10**9
@@ -237,6 +239,38 @@ def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
     assert bits(losses) == bits(want)
     for got, ref in zip(trained.layers, folded.layers, strict=True):
         assert bits(got.transition.entries) == bits(ref.transition.entries)
+
+
+@st.composite
+def mixed_splits(draw):
+    """(first, second, a, loss): 1-3 random layers on each side, each
+    dim 1-5 or, twice as often, 17-24, so the layers between two wide
+    dims step on numpy under the real `WIDE_SIDE` and the rest stay pure."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from(sorted(FLAGS)))
+    dim = st.one_of(st.integers(1, 5), st.integers(17, 24), st.integers(17, 24))
+    counts = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = [draw(dim) for _ in range(sum(counts) + 1)]
+    layers = [
+        random_layer(
+            rng, n, k, draw(st.sampled_from(ACTS)),
+            weight_scale=n ** -0.5, mask_density=density,
+        )
+        for n, k in zip(dims, dims[1:])
+    ]
+    first = Network.chain(layers[: counts[0]])
+    second = Network.chain(layers[counts[0] :])
+    return first, second, random_state(rng, first.in_dim, 1.0), random_loss(rng, second.out_dim)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mixed_splits())
+def test_compositionality_is_bitwise_across_kernel_kinds(case):
+    """The whole step pushes the erosion back through a wide layer on
+    numpy, but `transform_loss` pulls it back through the pure sweep,
+    so the law also holds one kernel kind to the other's bits."""
+    whole, split = law_sides(*case)
+    assert whole == split
 
 
 def uniform_net(scales):

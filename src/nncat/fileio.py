@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .activation import activation_from_tag
-from .algebra import Vec
+from .algebra import ShapeError, Vec
 from .network import Layer, Network, identity_net, make_layer
 
 
@@ -80,8 +80,9 @@ def network_from_json(doc: object) -> Network:
         _require(declared is not None, 'empty "layers" needs an explicit "in_dim"')
         return identity_net(declared)
 
+    # only the JSON types here: `make_layer`, `Layer` and `Network` check
+    # the shapes, and their errors reach the user below
     layers: list[Layer] = []
-    prev_dim = declared
     for pos, entry in enumerate(raw_layers):
         where = f"layer {pos}"
         _require(isinstance(entry, dict), f"{where}: must be an object")
@@ -89,22 +90,8 @@ def network_from_json(doc: object) -> Network:
         bias = entry.get("bias")
         _require(isinstance(weights, list), f'{where}: missing "weights"')
         _require(isinstance(bias, list), f'{where}: missing "bias"')
-        _require(
-            len(weights) == len(bias),
-            f"{where}: {len(weights)} weight rows vs {len(bias)} bias entries",
-        )
         for row in weights:
             _require(isinstance(row, list), f"{where}: weight rows must be arrays")
-        if weights:
-            n = len(weights[0])
-        elif prev_dim is not None:
-            n = prev_dim
-        else:
-            raise FileFormatError(f"{where}: zero-row weights need a declared in_dim")
-        if prev_dim is not None and n != prev_dim:
-            raise FileFormatError(
-                f"{where}: expects {n} inputs but previous stage provides {prev_dim}"
-            )
         for value in bias + [v for row in weights for v in row]:
             _require(_finite_number(value), f"{where}: entries must be finite numbers")
         tag = entry.get("activation")
@@ -113,9 +100,6 @@ def network_from_json(doc: object) -> Network:
             activation = activation_from_tag(tag)
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
-
-        # only the JSON types here: `Layer` checks both shapes, and its
-        # error reaches the user below, naming the layer
         mask = entry.get("mask")
         if mask is not None:
             _require(
@@ -124,7 +108,7 @@ def network_from_json(doc: object) -> Network:
                     isinstance(row, list) and all(isinstance(v, bool) for v in row)
                     for row in mask
                 ),
-                f"{where}: mask must be a {len(bias)}x{n} boolean array",
+                f"{where}: mask must be an array of boolean arrays",
             )
         bias_mutable = entry.get("bias_mutable")
         if bias_mutable is not None:
@@ -134,14 +118,18 @@ def network_from_json(doc: object) -> Network:
                 f"{where}: bias_mutable must be a length-{len(bias)} boolean array",
             )
 
+        in_dim = layers[-1].out_dim if layers else declared
         try:
-            layers.append(make_layer(weights, bias, activation, mask, bias_mutable, in_dim=n))
+            layers.append(make_layer(weights, bias, activation, mask, bias_mutable, in_dim))
         except ValueError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
-        prev_dim = len(bias)
 
-    # each layer's input width was checked against the previous len(bias)
-    return Network.chain(layers)
+    try:
+        return Network(
+            layers, layers[0].in_dim if declared is None else declared, layers[-1].out_dim
+        )
+    except ShapeError as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 def parse_network(text: str) -> Network:

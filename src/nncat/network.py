@@ -100,14 +100,26 @@ def make_layer(
 ) -> Layer:
     """Assemble a layer from separate weight rows and a bias vector.
 
-    `in_dim` is only consulted when there are no rows to read it from.
-    `Mat.from_rows` converts the entries to floats.
+    This function checks that there are as many rows as bias entries,
+    and `Mat.from_rows` that the rows have equal lengths, in the
+    caller's counts; it also converts the entries to floats.  `in_dim`
+    is the input width of a layer with no rows, which needs it; a layer
+    with rows reads its width from them and ignores `in_dim`.
     """
-    rows = [tuple(w) + (b,) for w, b in zip(weights, bias, strict=True)]
-    if rows:
-        transition = Mat.from_rows(rows)
+    if len(weights) != len(bias):
+        raise ShapeError(f"{len(weights)} weight rows vs {len(bias)} bias entries")
+    if weights:
+        try:
+            transition = Mat.from_rows([tuple(w) + (b,) for w, b in zip(weights, bias)])
+        except ShapeError:
+            # ragged rows: name their lengths as the caller gave them, without
+            # the bias; checked only here, so good rows are converted once
+            Mat.from_rows(weights)
+            raise
+    elif in_dim is None:
+        raise ShapeError("zero-row weights need a declared in_dim")
     else:
-        transition = Mat(0, (in_dim or 0) + 1, ())
+        transition = Mat(0, in_dim + 1, ())
     return Layer(transition, activation, mask, bias_mutable)
 
 
@@ -121,6 +133,8 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
+        if self.in_dim < 0 or self.out_dim < 0:
+            raise ShapeError(f"network widths must be >= 0, got {self.in_dim}->{self.out_dim}")
         if not self.layers:
             if self.in_dim != self.out_dim:
                 raise ShapeError(
@@ -129,7 +143,7 @@ class Network:
             return
         if self.layers[0].in_dim != self.in_dim:
             raise ShapeError(
-                f"first layer expects {self.layers[0].in_dim} inputs, "
+                f"layer 0 expects {self.layers[0].in_dim} inputs, "
                 f"network declares {self.in_dim}"
             )
         for pos, (cur, nxt) in enumerate(zip(self.layers, self.layers[1:])):

@@ -15,7 +15,11 @@ needs a failing example, not the smallest one):
   refactor that changes a mutated line must update its row; the gate
   writes the new text, runs each target on its own and restores the
   file;
-- a target kills the mutant when pytest reports a failed test (exit 1).
+- a target kills the mutant when pytest reports a failed test (exit 1);
+- every pytest run, the unmutated one too, has `TIMEOUT` seconds; one
+  that runs past it is stopped, prints TIMEOUT and fails the gate, so a
+  mutant that makes a test hang is not a kill and cannot hold a CI
+  runner.
 
 The gate exits 0 when every target kills its mutant, and 1 otherwise.
 It needs pytest and hypothesis, and numpy for the rows on
@@ -34,6 +38,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# seconds for one pytest run; the unmutated run of every target takes
+# well under a minute, and the whole tier-1 suite about half of one
+TIMEOUT = 300
 
 # a pytest plugin, written into the copy, that registers the gate's
 # hypothesis profile
@@ -130,11 +138,94 @@ MUTANTS = [
         "except OSError as exc:",
         ["tests/test_cli.py"],
     ),
+    (
+        "make_layer's row/bias count check off",
+        "src/nncat/network.py",
+        "if len(weights) != len(bias):",
+        "if False:",
+        ["tests/test_fileio.py", "tests/test_network.py"],
+    ),
+    (
+        "make_layer reports ragged rows with the bias column",
+        "src/nncat/network.py",
+        "Mat.from_rows(weights)\n",
+        "pass\n",
+        ["tests/test_fileio.py", "tests/test_network.py"],
+    ),
+    (
+        "Network's negative-width check off",
+        "src/nncat/network.py",
+        "if self.in_dim < 0 or self.out_dim < 0:",
+        "if False:",
+        ["tests/test_network.py"],
+    ),
+    (
+        "W @ x in the numpy affine kernel",
+        "src/nncat/_vectorized.py",
+        "acc = np.zeros(len(w))\n"
+        "            for column in products.T:\n"
+        "                acc += column\n",
+        "acc = w[:, :-1] @ np.asarray(x, dtype=float)\n",
+        ["tests/test_vectorized.py"],
+    ),
+    (
+        "backprop imports _vectorized eagerly",
+        "src/nncat/backprop.py",
+        "from .network import Layer, Network, compose, net_forward\n",
+        "from .network import Layer, Network, compose, net_forward\nfrom . import _vectorized\n",
+        ["tests/test_numpy_optional.py"],
+    ),
+    (
+        "the width rule skipped for a layer that carries weights",
+        "src/nncat/backprop.py",
+        "if wide and _vectorized else t.entries",
+        "if layer._carried is not None or (wide and _vectorized) else t.entries",
+        ["tests/test_vectorized.py::test_the_width_rule_decides_whatever_a_layer_carries"],
+    ),
+    (
+        "ArrayWeights leaves its arrays writable",
+        "src/nncat/_vectorized.py",
+        "array.flags.writeable = frozen.flags.writeable = False",
+        "pass",
+        ["tests/test_vectorized.py"],
+    ),
+    (
+        "ArrayWeights.of ignores what the layer carries",
+        "src/nncat/_vectorized.py",
+        "        if layer._carried is not None:\n            return layer._carried\n",
+        "",
+        ["tests/test_vectorized.py"],
+    ),
+    (
+        "Mat keeps a list",
+        "src/nncat/algebra.py",
+        'object.__setattr__(self, "entries", tuple(self.entries))',
+        'object.__setattr__(self, "entries", self.entries)',
+        ["tests/test_algebra.py", "tests/test_vectorized.py"],
+    ),
+    (
+        "a stray _carried write",
+        "src/nncat/backprop.py",
+        "    return _rebuilt(net, weights), trace\n",
+        "    stepped = _rebuilt(net, weights)\n"
+        "    for layer in stepped.layers:\n"
+        '        object.__setattr__(layer, "_carried", layer._carried)\n'
+        "    return stepped, trace\n",
+        ["tests/test_unchecked_rebuild_rule.py"],
+    ),
+    (
+        "train records an inner step's loss after its update",
+        "src/nncat/backprop.py",
+        "value = validity(states[-1], loss)",
+        "value = validity(net_forward(_rebuilt(net, weights), x), loss)",
+        ["tests/test_backprop.py", "tests/test_cli.py"],
+    ),
 ]
 
 
-def pytest(root: Path, targets: list[str]) -> int:
-    """pytest's exit code for `targets`, run in `root` on `root/src`."""
+def pytest(root: Path, targets: list[str]) -> int | None:
+    """pytest's exit code for `targets`, run in `root` on `root/src`, or
+    None when the run took more than `TIMEOUT` seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), str(root), os.environ.get("PYTHONPATH")) if p
@@ -143,9 +234,17 @@ def pytest(root: Path, targets: list[str]) -> int:
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
         "-p", "gate_profile", "--hypothesis-profile=gate", "--hypothesis-seed=0", *targets,
     ]
-    done = subprocess.run(
-        command, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    )
+    try:
+        done = subprocess.run(
+            command,
+            cwd=root,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return done.returncode
 
 
@@ -159,6 +258,9 @@ def main() -> int:
 
         targets = sorted({t for *_, kills in MUTANTS for t in kills})
         code = pytest(root, targets)
+        if code is None:
+            print(f"TIMEOUT   the unmutated copy's targets ran past {TIMEOUT} s")
+            return 1
         if code != 0:
             print(f"the unmutated copy fails its targets (pytest exit {code})")
             return 1
@@ -176,10 +278,14 @@ def main() -> int:
                 for target in kills:
                     start = time.perf_counter()
                     code = pytest(root, [target])
-                    verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                    verdict = {None: "TIMEOUT", 0: "SURVIVED", 1: "killed"}.get(
+                        code, f"ERROR {code}"
+                    )
                     seconds = time.perf_counter() - start
                     print(f"{verdict:9} {name}: {target} ({seconds:.1f} s)", flush=True)
-                    if code != 1:
+                    if code is None:
+                        failures.append(f"{name}: {target} ran past {TIMEOUT} s")
+                    elif code != 1:
                         failures.append(f"{name}: {target} gave pytest exit {code}")
             finally:
                 path.write_text(text, encoding="utf-8")

@@ -119,6 +119,19 @@ class TestTrain:
                 assert row == pytest.approx(want[j], abs=TOL8)
         assert trace.read_text() == "1,0.14918555\n"
 
+    def test_an_inner_step_records_its_loss_before_the_update(
+        self, mazur_file, mazur_data, tmp_path
+    ):
+        # with two epochs the first step is not `train`'s last, which is
+        # `backprop_step`, so this reads the loss of an inner step
+        out = tmp_path / "out.json"
+        trace = tmp_path / "trace.csv"
+        assert run(
+            ["train", "--net", mazur_file, "--data", mazur_data, "--eta", "0.5",
+             "--epochs", "2", "--out", str(out), "--trace", str(trace)]
+        ) == 0
+        assert trace.read_text().splitlines()[0] == "1,0.14918555"
+
     def test_zero_epochs_keeps_network(self, mazur_file, mazur_data, tmp_path):
         out = tmp_path / "out.json"
         trace = tmp_path / "trace.csv"

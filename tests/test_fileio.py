@@ -133,37 +133,43 @@ class TestNetworkParsing:
         doc["layers"].append(
             {"weights": [[1.0, 2.0, 3.0]], "bias": [0.0], "activation": "tanh"}
         )
-        with pytest.raises(FileFormatError, match="layer 1"):
+        with pytest.raises(
+            FileFormatError, match="^layer 0 emits 2 values but layer 1 expects 3$"
+        ):
             self.parse(doc)
 
     def test_declared_in_dim_checked(self):
         doc = self.base_doc()
         doc["in_dim"] = 5
-        with pytest.raises(FileFormatError, match="layer 0"):
+        with pytest.raises(FileFormatError, match="^layer 0 expects 2 inputs, network declares 5$"):
             self.parse(doc)
 
-    # the parser checks JSON types only; `Layer` checks the shapes, and
-    # the parser reports its error with the layer
+    # the parser checks JSON types only; `make_layer` and `Layer` check
+    # the shapes, and the parser reports their errors with the layer
     @pytest.mark.parametrize(
         "key, value, expected",
         [
-            ("mask", [[True], [True]], "mask must be 2x2"),
-            ("mask", [[True, True]], "mask must be 2x2"),
-            ("mask", [[True, True], [True]], "mask must be 2x2"),
-            ("bias_mutable", [True], "bias_mutable must have length 2"),
+            ("mask", [[True], [True]], "mask must be 2x2 to match transition 2x3"),
+            ("mask", [[True, True]], "mask must be 2x2 to match transition 2x3"),
+            ("mask", [[True, True], [True]], "mask must be 2x2 to match transition 2x3"),
+            ("bias_mutable", [True], "bias_mutable must have length 2, got 1"),
+            ("weights", [[1, 2], [1]], "row 0 has 2 entries but row 1 has 1"),
+            ("bias", [0.35, 0.35, 0.35], "2 weight rows vs 3 bias entries"),
         ],
-        ids=["short-rows", "row-count", "one-short-row", "bias-flags"],
+        ids=["short-rows", "row-count", "one-short-row", "bias-flags", "ragged", "bias-count"],
     )
     def test_bad_mask_shape(self, key, value, expected):
         doc = self.base_doc()
         doc["layers"][0][key] = value
-        with pytest.raises(FileFormatError, match=f"^layer 0: {expected}"):
+        with pytest.raises(FileFormatError, match=f"^layer 0: {expected}$"):
             self.parse(doc)
 
     def test_mask_entries_must_be_booleans(self):
         doc = self.base_doc()
         doc["layers"][0]["mask"] = [[1, 0], [1, 1]]
-        with pytest.raises(FileFormatError, match="mask"):
+        with pytest.raises(
+            FileFormatError, match="^layer 0: mask must be an array of boolean arrays$"
+        ):
             self.parse(doc)
 
     def test_bias_flags_must_be_booleans(self):

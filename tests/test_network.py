@@ -48,12 +48,22 @@ class TestLayerConstruction:
             Layer(Mat(2, 0, ()), SIGMOID)
 
     def test_weights_bias_row_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="^2 weight rows vs 1 bias entries$"):
             make_layer(FIRST_WEIGHTS, (0.35,), SIGMOID)
+        with pytest.raises(ShapeError, match="^1 weight rows vs 2 bias entries$"):
+            make_layer([[1.0, 2.0]], [0.1, 0.2], SIGMOID)
+
+    def test_ragged_rows_reported_in_the_callers_counts(self):
+        with pytest.raises(ShapeError, match="^row 0 has 2 entries but row 1 has 1$"):
+            make_layer([[1.0, 2.0], [1.0]], [0.0, 0.0], SIGMOID)
 
     def test_zero_output_layer(self):
         layer = make_layer([], [], SIGMOID, in_dim=3)
         assert (layer.in_dim, layer.out_dim) == (3, 0)
+
+    def test_zero_output_layer_needs_in_dim(self):
+        with pytest.raises(ShapeError, match="^zero-row weights need a declared in_dim$"):
+            make_layer([], [], SIGMOID)
 
     def test_zero_input_layer(self):
         layer = make_layer([(), ()], (0.5, -0.5), IDENTITY)
@@ -155,6 +165,15 @@ class TestNetworkConstruction:
     def test_empty_needs_equal_dims(self):
         with pytest.raises(ShapeError):
             Network((), 2, 3)
+
+    def test_negative_widths_rejected(self):
+        # the file format has no negative width, so such a network could
+        # be written but never read back
+        with pytest.raises(ShapeError, match=r"^network widths must be >= 0, got -2->-2$"):
+            identity_net(-2)
+        layer = make_layer(FIRST_WEIGHTS, FIRST_BIAS, SIGMOID)
+        with pytest.raises(ShapeError, match=r"^network widths must be >= 0, got 2->-1$"):
+            Network((layer,), 2, -1)
 
     def test_chain_rejects_empty(self):
         with pytest.raises(ShapeError):

@@ -52,10 +52,8 @@ class ArrayWeights:
 
     @classmethod
     def of(cls, layer: Layer) -> ArrayWeights:
-        """The weights `layer` carries from the numpy step that built
-        it, or else new ones loaded from its row-major entries."""
-        if layer._carried is not None:
-            return layer._carried
+        """New weights loaded from `layer`'s row-major entries and its
+        `mutable` flags."""
         t = layer.transition
         frozen = ~np.frombuffer(bytes(layer.mutable), dtype=bool).reshape(t.rows, t.cols)
         array = np.fromiter(t.entries, dtype=float, count=len(t.entries))

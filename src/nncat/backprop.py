@@ -25,18 +25,19 @@ the masked update.  `_step` shares the rest: it sweeps against the
 weights and replaces each, from the last layer to the first, with its
 updated weights, checking once that every product and every new entry
 is finite.  An update returns new weights and never writes the ones it
-read, so nothing is copied.  `backprop_step` rebuilds its network from
-the new weights, stored as entry tuples, with `Network._with_weights`,
-the one rebuild that reuses the shapes, masks and bias flags already
-checked and does not scan the entries again.  Each layer rebuilt from
-`ArrayWeights` carries them, so a later step on that layer, in any
-network, starts from them and loads nothing from the entries; the
-width rule still decides, on every call, whether a layer steps on numpy
-at all.  `train` loads the weights once and holds them for the whole
-run, and builds a network from them once, for its last step, which is
-`backprop_step`; no other step builds a matrix, layer, network or
-trace.  The trace keeps the signals and builds the gradients only when
-they are read.
+read, so nothing is copied.  `backprop_step` hands the list of new
+weights, as it is, to `Network._with_weights`, the one rebuild that
+reuses the shapes, masks and bias flags already checked and does not
+scan the entries again.  It stores each item's entry tuple, and a layer
+rebuilt from `ArrayWeights` carries them, so a later step on that
+layer, in any network, starts from them and loads nothing from the
+entries.  `_loaded` is the one reader of what a layer carries, and it
+reads it only after the width rule, which still decides, on every
+call, whether a layer steps on numpy at all.  `train` loads the weights
+once and holds them for the whole run, and builds a network from them
+once, for its last step, which is `backprop_step`; no other step builds
+a matrix, layer, network or trace.  The trace keeps the signals and
+builds the gradients only when they are read.
 """
 
 from __future__ import annotations
@@ -111,10 +112,9 @@ _vectorized: Any = None
 
 def _loaded(net: Network) -> list[Any]:
     """Each layer's step weights: for a layer with at least `WIDE_SIDE`
-    rows and columns when numpy can be imported,
-    `_vectorized.ArrayWeights.of(layer)`, the weights it carries or else
-    new ones loaded from its entries; otherwise, whatever the layer
-    carries, its row-major entry tuple."""
+    rows and columns when numpy can be imported, the `ArrayWeights` it
+    carries, or else new ones loaded from its entries; otherwise,
+    whatever the layer carries, its row-major entry tuple."""
     global _vectorized
     weights = []
     for layer in net.layers:
@@ -126,18 +126,11 @@ def _loaded(net: Network) -> list[Any]:
             except ImportError:
                 module = False
             _vectorized = module
-        weights.append(_vectorized.ArrayWeights.of(layer) if wide and _vectorized else t.entries)
+        if wide and _vectorized:
+            weights.append(layer._carried or _vectorized.ArrayWeights.of(layer))
+        else:
+            weights.append(t.entries)
     return weights
-
-
-def _rebuilt(net: Network, weights: Sequence[Any]) -> Network:
-    """`net` with each layer's weights, stored as a row-major entry
-    tuple.  A layer with `ArrayWeights` carries them, so the next step
-    on it loads nothing from the entries."""
-    return net._with_weights(
-        [w if type(w) is tuple else w.entries() for w in weights],
-        [None if type(w) is tuple else w for w in weights],
-    )
 
 
 def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
@@ -204,7 +197,7 @@ def backprop_step(
         raise ShapeError(f"loss of dimension {loss.dim} vs network output {net.out_dim}")
     weights = _loaded(net)
     trace = BackpropTrace(*_step(net, weights, a, loss.erosion))
-    return _rebuilt(net, weights), trace
+    return net._with_weights(weights), trace
 
 
 def functoriality_check(
@@ -279,7 +272,7 @@ def train(
                     # The last step builds the network that is returned, so
                     # it is the public step; `benchmarks/run.py --trace 1`
                     # times `backprop_step` on every workload.
-                    net, trace = backprop_step(_rebuilt(net, weights), x, loss)
+                    net, trace = backprop_step(net._with_weights(weights), x, loss)
                     states = trace.states
                 value = validity(states[-1], loss)
                 if not math.isfinite(value):

@@ -113,12 +113,12 @@ def network_from_json(doc: object) -> Network:
         bias_mutable = entry.get("bias_mutable")
         if bias_mutable is not None:
             _require(
-                isinstance(bias_mutable, list)
-                and all(isinstance(v, bool) for v in bias_mutable),
-                f"{where}: bias_mutable must be a length-{len(bias)} boolean array",
+                isinstance(bias_mutable, list) and all(isinstance(v, bool) for v in bias_mutable),
+                f"{where}: bias_mutable must be an array of booleans",
             )
 
-        in_dim = layers[-1].out_dim if layers else declared
+        # a layer with rows reads its width from them; `Network` checks the chain
+        in_dim = None if weights else layers[-1].out_dim if layers else declared
         try:
             layers.append(make_layer(weights, bias, activation, mask, bias_mutable, in_dim))
         except ValueError as exc:

@@ -49,9 +49,9 @@ class Layer:
     mask: BoolMat | None = None
     bias_mutable: BoolRow | None = None
     # The immutable step weights that the step which built this layer
-    # leaves for the next step, or None; see `Network._with_weights`, the
-    # one place that sets it.  It is not a field, so equality, `repr` and
-    # serialization never see it.
+    # leaves for the next step on it, or None.  `Network._with_weights`
+    # alone sets it and `backprop._loaded` alone reads it.  It is not a
+    # field, so equality, `repr` and serialization never see it.
     _carried: ClassVar[Any] = None
 
     def __post_init__(self) -> None:
@@ -103,8 +103,8 @@ def make_layer(
     This function checks that there are as many rows as bias entries,
     and `Mat.from_rows` that the rows have equal lengths, in the
     caller's counts; it also converts the entries to floats.  `in_dim`
-    is the input width of a layer with no rows, which needs it; a layer
-    with rows reads its width from them and ignores `in_dim`.
+    is the input width: a layer with no rows needs it, and a layer with
+    rows, which reads its width from them, checks it when it is given.
     """
     if len(weights) != len(bias):
         raise ShapeError(f"{len(weights)} weight rows vs {len(bias)} bias entries")
@@ -116,6 +116,8 @@ def make_layer(
             # the bias; checked only here, so good rows are converted once
             Mat.from_rows(weights)
             raise
+        if in_dim not in (None, transition.cols - 1):
+            raise ShapeError(f"{transition.cols - 1} weight columns vs in_dim {in_dim}")
     elif in_dim is None:
         raise ShapeError("zero-row weights need a declared in_dim")
     else:
@@ -157,41 +159,37 @@ class Network:
                 f"last layer emits {self.layers[-1].out_dim}, network declares {self.out_dim}"
             )
 
-    def _with_weights(
-        self,
-        weights: Sequence[tuple[float, ...]],
-        carried: Sequence[object],
-    ) -> "Network":
-        """This network with layer i's transition entries replaced by
-        `weights[i]`, for the engine's own rebuilds (updates).
+    def _with_weights(self, weights: Sequence[Any]) -> "Network":
+        """This network with layer i's transition entries replaced by the
+        step's weights `weights[i]`, for the engine's own rebuilds
+        (updates).  Each item is either a row-major entry tuple, stored
+        as the new `Mat`'s entries, or a value whose `entries()` gives
+        that tuple, which the new layer also carries as `_carried`.  So
+        a layer's entries and its carried weights come from one object.
 
-        Precondition: each `weights[i]` is a tuple of layer i's
-        rows x cols finite floats, row-major, as the step's update has
-        checked once.  So each new `Mat` and `Layer` skips its O(entries)
-        __post_init__ and reuses the shape, activation, mask and bias
-        flags checked when this network was built; this is the engine's
-        one unchecked construction.  The network itself is built through
-        its O(depth) public check.
-
-        `carried[i]`, where it is not None, becomes new layer i's
-        `_carried`.  This module never reads it.  The step passes the
-        `ArrayWeights` from which it stored `weights[i]`: their array is
-        read-only from construction, so it holds `weights[i]` for the
-        life of the layer.
+        Precondition: each item holds layer i's rows x cols finite
+        floats, as the step's update has checked once.  So each new
+        `Mat` and `Layer` skips its O(entries) __post_init__ and reuses
+        the shape, activation, mask and bias flags checked when this
+        network was built; this is the engine's one unchecked
+        construction.  The network itself is built through its O(depth)
+        public check.  A carried value must be immutable, so it holds
+        the layer's entries for the life of the layer; this module
+        never reads it.
         """
         layers = []
-        for layer, entries, extra in zip(self.layers, weights, carried, strict=True):
+        for layer, w in zip(self.layers, weights, strict=True):
             t = object.__new__(Mat)
             object.__setattr__(t, "rows", layer.transition.rows)
             object.__setattr__(t, "cols", layer.transition.cols)
-            object.__setattr__(t, "entries", entries)
+            object.__setattr__(t, "entries", w if type(w) is tuple else w.entries())
             new = object.__new__(Layer)
             object.__setattr__(new, "transition", t)
             object.__setattr__(new, "activation", layer.activation)
             object.__setattr__(new, "mask", layer.mask)
             object.__setattr__(new, "bias_mutable", layer.bias_mutable)
-            if extra is not None:
-                object.__setattr__(new, "_carried", extra)
+            if type(w) is not tuple:
+                object.__setattr__(new, "_carried", w)
             layers.append(new)
         return Network(tuple(layers), self.in_dim, self.out_dim)
 

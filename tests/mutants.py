@@ -153,6 +153,13 @@ MUTANTS = [
         ["tests/test_fileio.py", "tests/test_network.py"],
     ),
     (
+        "make_layer's in_dim check off",
+        "src/nncat/network.py",
+        "if in_dim not in (None, transition.cols - 1):",
+        "if False:",
+        ["tests/test_network.py"],
+    ),
+    (
         "Network's negative-width check off",
         "src/nncat/network.py",
         "if self.in_dim < 0 or self.out_dim < 0:",
@@ -178,8 +185,8 @@ MUTANTS = [
     (
         "the width rule skipped for a layer that carries weights",
         "src/nncat/backprop.py",
-        "if wide and _vectorized else t.entries",
-        "if layer._carried is not None or (wide and _vectorized) else t.entries",
+        "if wide and _vectorized:",
+        "if layer._carried or (wide and _vectorized):",
         ["tests/test_vectorized.py::test_the_width_rule_decides_whatever_a_layer_carries"],
     ),
     (
@@ -190,10 +197,17 @@ MUTANTS = [
         ["tests/test_vectorized.py"],
     ),
     (
-        "ArrayWeights.of ignores what the layer carries",
-        "src/nncat/_vectorized.py",
-        "        if layer._carried is not None:\n            return layer._carried\n",
-        "",
+        "_loaded ignores what the layer carries",
+        "src/nncat/backprop.py",
+        "layer._carried or _vectorized.ArrayWeights.of(layer)",
+        "_vectorized.ArrayWeights.of(layer)",
+        ["tests/test_vectorized.py"],
+    ),
+    (
+        "_with_weights carries nothing",
+        "src/nncat/network.py",
+        "if type(w) is not tuple:",
+        "if False:",
         ["tests/test_vectorized.py"],
     ),
     (
@@ -206,18 +220,26 @@ MUTANTS = [
     (
         "a stray _carried write",
         "src/nncat/backprop.py",
-        "    return _rebuilt(net, weights), trace\n",
-        "    stepped = _rebuilt(net, weights)\n"
-        "    for layer in stepped.layers:\n"
-        '        object.__setattr__(layer, "_carried", layer._carried)\n'
+        "    return net._with_weights(weights), trace\n",
+        "    stepped = net._with_weights(weights)\n"
+        "    for layer, w in zip(stepped.layers, weights):\n"
+        "        if type(w) is not tuple:\n"
+        '            object.__setattr__(layer, "_carried", w)\n'
         "    return stepped, trace\n",
-        ["tests/test_unchecked_rebuild_rule.py"],
+        ["tests/test_unchecked_rebuild_rule.py::test_one_place_sets_what_a_layer_carries"],
+    ),
+    (
+        "a stray _carried read",
+        "src/nncat/_vectorized.py",
+        "        t = layer.transition\n",
+        "        assert layer._carried is None\n        t = layer.transition\n",
+        ["tests/test_unchecked_rebuild_rule.py::test_one_place_reads_what_a_layer_carries"],
     ),
     (
         "train records an inner step's loss after its update",
         "src/nncat/backprop.py",
         "value = validity(states[-1], loss)",
-        "value = validity(net_forward(_rebuilt(net, weights), x), loss)",
+        "value = validity(net_forward(net._with_weights(weights), x), loss)",
         ["tests/test_backprop.py", "tests/test_cli.py"],
     ),
 ]

@@ -176,7 +176,7 @@ class TestNetworkParsing:
         doc = self.base_doc()
         doc["layers"][0]["bias_mutable"] = [1, 0]
         with pytest.raises(
-            FileFormatError, match="^layer 0: bias_mutable must be a length-2 boolean array$"
+            FileFormatError, match="^layer 0: bias_mutable must be an array of booleans$"
         ):
             self.parse(doc)
 

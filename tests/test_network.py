@@ -57,6 +57,12 @@ class TestLayerConstruction:
         with pytest.raises(ShapeError, match="^row 0 has 2 entries but row 1 has 1$"):
             make_layer([[1.0, 2.0], [1.0]], [0.0, 0.0], SIGMOID)
 
+    def test_declared_in_dim_checked_against_the_rows(self):
+        with pytest.raises(ShapeError, match="^2 weight columns vs in_dim 5$"):
+            make_layer([[1.0, 2.0]], [0.0], SIGMOID, in_dim=5)
+        layer = make_layer([[1.0, 2.0]], [0.0], SIGMOID, in_dim=2)
+        assert (layer.in_dim, layer.out_dim) == (2, 1)
+
     def test_zero_output_layer(self):
         layer = make_layer([], [], SIGMOID, in_dim=3)
         assert (layer.in_dim, layer.out_dim) == (3, 0)
@@ -75,7 +81,7 @@ class TestLayerConstruction:
             mask=((True, False), (False, True)), bias_mutable=(False, True),
         )
         t = Mat.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        (rebuilt,) = Network.chain([layer])._with_weights([t.entries], [None]).layers
+        (rebuilt,) = Network.chain([layer])._with_weights([t.entries]).layers
         assert rebuilt == Layer(t, SIGMOID, layer.mask, layer.bias_mutable)
         assert rebuilt.mask is layer.mask
         assert rebuilt.bias_mutable is layer.bias_mutable
@@ -138,7 +144,7 @@ class TestNetworkConstruction:
 
         net = build()
         weights = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
-        rebuilt = net._with_weights(weights, [None, None])
+        rebuilt = net._with_weights(weights)
         assert rebuilt == Network.chain([
             Layer(Mat(2, 3, weights[0]), SIGMOID, mask, flags),
             Layer(Mat(2, 3, weights[1]), IDENTITY),
@@ -148,7 +154,7 @@ class TestNetworkConstruction:
             assert new.bias_mutable is old.bias_mutable
             assert new.activation is old.activation
         assert net == build()
-        assert identity_net(2)._with_weights([], []) == identity_net(2)
+        assert identity_net(2)._with_weights([]) == identity_net(2)
 
     def test_incompatible_layers_rejected(self):
         wide = make_layer([(1.0, 2.0, 3.0)], (0.0,), SIGMOID)  # 3 -> 1

@@ -7,11 +7,12 @@ made with `object.__new__`.  A second `__new__` call would be a second
 place that decides which values are trusted, so the rule is checked on
 the source.
 
-The same rebuild is the one place that sets `Layer._carried`, the
-immutable `ArrayWeights` that a step leaves for the next step on the
-layer.  Those weights must hold the layer's entries, which only the
-rebuild sees together with them, so a write of `_carried` anywhere else
-breaks the rule too.
+What a layer carries, `Layer._carried`, has one writer and one reader.
+The rebuild is the one writer: it takes each layer's entries and the
+immutable weights it carries from one object, so they cannot disagree.
+`backprop._loaded` is the one reader: it reads them only for a layer
+that the width rule sends to numpy.  A write or a read anywhere else
+breaks the rule.
 """
 
 import ast
@@ -20,7 +21,8 @@ from typing import Callable
 
 import nncat
 
-ALLOWED = "network.py:Network._with_weights"
+REBUILD = "network.py:Network._with_weights"
+LOADER = "backprop.py:_loaded"
 CARRIED = "_carried"
 
 
@@ -49,28 +51,35 @@ def _new_call(node: ast.AST) -> bool:
     )
 
 
-def _carried_write(node: ast.AST) -> bool:
-    """`x._carried = ...`, `del x._carried`, or a `setattr` or
-    `__setattr__` call naming `_carried`."""
-    if isinstance(node, ast.Attribute):
-        return node.attr == CARRIED and not isinstance(node.ctx, ast.Load)
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        return name in ("setattr", "__setattr__") and any(
-            isinstance(arg, ast.Constant) and arg.value == CARRIED for arg in node.args
-        )
-    return False
+def _carried_access(load: bool) -> Callable[[ast.AST], bool]:
+    """A matcher of the reads of `_carried` (`x._carried` or a `getattr`
+    or `__getattribute__` call naming it) when `load`, else of its
+    writes (`x._carried = ...`, `del x._carried`, or a `setattr` or
+    `__setattr__` call naming it)."""
+    calls = ("getattr", "__getattribute__") if load else ("setattr", "__setattr__")
+
+    def match(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == CARRIED and isinstance(node.ctx, ast.Load) == load
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            return name in calls and any(
+                isinstance(arg, ast.Constant) and arg.value == CARRIED for arg in node.args
+            )
+        return False
+
+    return match
 
 
-def _check(match: Callable[[ast.AST], bool], what: str) -> None:
+def _check(match: Callable[[ast.AST], bool], what: str, allowed_site: str) -> None:
     sources = sorted(Path(nncat.__file__).parent.glob("*.py"))
     assert sources
     allowed, outside = 0, []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
         for scope, line in _sites(tree, match):
-            if f"{path.name}:{scope}" == ALLOWED:
+            if f"{path.name}:{scope}" == allowed_site:
                 allowed += 1
             else:
                 outside.append(f"{path.name}:{line}: {what} in {scope or 'module'}")
@@ -80,8 +89,12 @@ def _check(match: Callable[[ast.AST], bool], what: str) -> None:
 
 
 def test_one_unchecked_rebuild():
-    _check(_new_call, "__new__")
+    _check(_new_call, "__new__", REBUILD)
 
 
 def test_one_place_sets_what_a_layer_carries():
-    _check(_carried_write, f"a write of {CARRIED}")
+    _check(_carried_access(load=False), f"a write of {CARRIED}", REBUILD)
+
+
+def test_one_place_reads_what_a_layer_carries():
+    _check(_carried_access(load=True), f"a read of {CARRIED}", LOADER)

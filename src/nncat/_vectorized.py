@@ -2,7 +2,7 @@
 step's three O(rows * cols) kernels, bit for bit.
 
 A layer's step costs O(rows * cols) in three places: the affine map of
-the forward sweep, the pushback of the backward sweep and the masked
+the forward loop, the pushback of the backward sweep and the masked
 rank-one update.  Everything else costs O(rows + cols) and stays shared
 with the pure path.  These kernels compute the same values as the pure
 ones (`algebra._affine`, `backward._pushback_entries`,
@@ -23,8 +23,8 @@ the bits.  Each kernel runs with numpy's floating-point warnings off,
 so an overflow gives inf or nan, as it does in pure Python, and the
 shared checks raise the pure path's `DomainError`.
 
-Importing this module imports numpy; `backprop` imports it only when a
-layer wide enough to gain steps.
+Importing this module imports numpy; `network._loaded` imports it only
+when a layer wide enough to gain runs forward or steps.
 """
 
 from __future__ import annotations

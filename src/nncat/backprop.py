@@ -17,27 +17,28 @@ network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
 The step works on each layer's weights as one value: its flat,
-row-major entry tuple or, for a layer with at least `WIDE_SIDE` rows
-and columns when numpy can be imported, its `_vectorized.ArrayWeights`,
-a read-only array whose methods are numpy twins, with the same bits, of
-the layer's only O(rows * cols) work: the affine map, the pushback and
-the masked update.  `_step` shares the rest: it sweeps against the
-weights and replaces each, from the last layer to the first, with its
-updated weights, checking once that every product and every new entry
-is finite.  An update returns new weights and never writes the ones it
-read, so nothing is copied.  `backprop_step` hands the list of new
-weights, as it is, to `Network._with_weights`, the one rebuild that
-reuses the shapes, masks and bias flags already checked and does not
-scan the entries again.  It stores each item's entry tuple, and a layer
-rebuilt from `ArrayWeights` carries them, so a later step on that
-layer, in any network, starts from them and loads nothing from the
-entries.  `_loaded` is the one reader of what a layer carries, and it
-reads it only after the width rule, which still decides, on every
-call, whether a layer steps on numpy at all.  `train` loads the weights
-once and holds them for the whole run, and builds a network from them
-once, for its last step, which is `backprop_step`; no other step builds
-a matrix, layer, network or trace.  The trace keeps the signals and
-builds the gradients only when they are read.
+row-major entry tuple or, for a layer with at least `network.WIDE_SIDE`
+rows and columns when numpy can be imported, its
+`_vectorized.ArrayWeights`, a read-only array whose methods are numpy
+twins, with the same bits, of the layer's only O(rows * cols) work: the
+affine map, the pushback and the masked update.  `_step` shares the
+rest: it sweeps against the weights and replaces each, from the last
+layer to the first, with its updated weights, checking once that every
+product and every new entry is finite.  An update returns new weights
+and never writes the ones it read, so nothing is copied.
+`backprop_step` hands the list of new weights, as it is, to
+`Network._with_weights`, the one rebuild that reuses the shapes, masks
+and bias flags already checked and does not scan the entries again.  It
+stores each item's entry tuple, and a layer rebuilt from `ArrayWeights`
+carries them, so a later step on that layer, in any network, starts
+from them and loads nothing from the entries.  `network._loaded`, which
+`net_forward` also calls, is the one reader of what a layer carries,
+and it reads it only after the width rule, which still decides, on
+every call, whether a layer runs on numpy at all.  `train` loads the
+weights once and holds them for the whole run, and builds a network
+from them once, for its last step, which is `backprop_step`; no other
+step builds a matrix, layer, network or trace.  The trace keeps the
+signals and builds the gradients only when they are read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Any, Sequence
 from .algebra import DomainError, ShapeError, Vec, _require_finite, outer
 from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
-from .network import Layer, Network, compose, net_forward
+from .network import Layer, Network, _loaded, compose, net_forward
 
 
 @dataclass(frozen=True)
@@ -91,46 +92,6 @@ def _products_finite(s: Vec, inp: Vec) -> bool:
         and all(map(math.isfinite, inp))
         and math.isfinite(max(map(abs, s), default=0.0) * max(map(abs, inp)))
     )
-
-
-# A layer whose transition has at least this many rows and at least this
-# many columns steps on the numpy kernels, when numpy can be imported.
-# The affine loop makes one numpy call per column and the pushback one
-# per row, so the shorter side decides whether they pay: a 1 x 601 layer
-# steps at half the pure speed on numpy.  Square layers start to win at
-# width 16 (1.1x per `backprop_step`, 1.4x per `train` step; 0.9x and
-# 1.1x at width 12; Python 3.11, numpy 2.4, 2-vCPU VM), but nets whose
-# layers are at most 16 x 17 must never import numpy, which costs more
-# than their whole run.
-WIDE_SIDE = 17
-
-# the `_vectorized` module once the first wide layer has tried to import
-# it, or False if numpy is missing: a failed import is not cached by
-# Python and would search the path again on every step
-_vectorized: Any = None
-
-
-def _loaded(net: Network) -> list[Any]:
-    """Each layer's step weights: for a layer with at least `WIDE_SIDE`
-    rows and columns when numpy can be imported, the `ArrayWeights` it
-    carries, or else new ones loaded from its entries; otherwise,
-    whatever the layer carries, its row-major entry tuple."""
-    global _vectorized
-    weights = []
-    for layer in net.layers:
-        t = layer.transition
-        wide = min(t.rows, t.cols) >= WIDE_SIDE
-        if wide and _vectorized is None:
-            try:
-                from . import _vectorized as module
-            except ImportError:
-                module = False
-            _vectorized = module
-        if wide and _vectorized:
-            weights.append(layer._carried or _vectorized.ArrayWeights.of(layer))
-        else:
-            weights.append(t.entries)
-    return weights
 
 
 def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:

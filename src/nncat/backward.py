@@ -9,31 +9,33 @@ one by construction.  Pushing the signal through the layer's weight
 columns turns an output erosion into an input erosion, which is what a
 multi-layer backward sweep iterates.
 
-Every backward question is answered by one function, `sweep`.  It runs
-the forward pass once, caching each layer's pre-activation z and output
-y, then walks the layers from last to first, reading each error signal
-off the cached states and pushing it back to the input erosion through
-the weight columns, read in place.  It reads each layer's weights as a
-flat row-major entry tuple, the layer's own or one the caller passes,
+Every backward question is answered by one function, `sweep`.  Its
+forward half is the network's one forward loop, `network._forward`,
+which `net_forward` also runs: it caches each layer's pre-activation z
+and output y, checks the input's length and each pre-activation once,
+and names the layer of an overflow.  The sweep then walks the layers
+from last to first, reading each error signal off the cached states and
+pushing it back to the input erosion through the weight columns, read
+in place.  It reads each layer's weights as the caller passes them,
 which is how `train` steps weights that live in no `Mat` until its last
-step.  A forward pass that leaves the finite floats raises naming the
-layer.  The sweep builds no gradient and no update: `backprop_step`
-updates each layer straight from its signal, `layer_erosion_vector` is
-the one-layer sweep's signal, `layer_gradient` is `outer` over it, and
-`erosion_transform_net` keeps the erosion at the input.  The sweep
-checks the input's length and the output erosion's length once, for
-every caller, and each pre-activation once, in the forward pass, so the
-backward pass maps the activation's derivative unchecked.  Each sum
-starts at 0.0 and runs over ascending indices, the order of `vec_mat`;
-the affine and pushback loops exist once, on entry tuples (`_affine`,
-`_pushback_entries`), and `kleisli_apply` is the affine loop's
-shape-checked wrapper, so the sweep agrees with it bit for bit.
+step, or else as `network._loaded` gives them, the width rule that
+`net_forward` follows too.  The sweep builds no gradient and no update:
+`backprop_step` updates each layer straight from its signal,
+`layer_erosion_vector` is the one-layer sweep's signal, `layer_gradient`
+is `outer` over it, and `erosion_transform_net` keeps the erosion at
+the input.  The sweep checks the output erosion's length once, for
+every caller, so the backward pass maps the activation's derivative
+unchecked.  Each sum starts at 0.0 and runs over ascending indices, the
+order of `vec_mat`; the affine and pushback loops exist once, on entry
+tuples (`_affine`, `_pushback_entries`), and `kleisli_apply` is the
+affine loop's shape-checked wrapper, so the sweep agrees with it bit
+for bit.
 
 Those two loops and the step's masked update are a layer's only
-O(rows * cols) work.  The step may pass a wide layer's weights as
+O(rows * cols) work.  A wide layer's weights may be
 `_vectorized.ArrayWeights`, a read-only array with their numpy twins,
-which give the same bits; the sweep runs them in place of the two loops
-for that layer and shares everything else.
+which give the same bits; the forward loop and the sweep run them in
+place of the two loops for that layer and share everything else.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
@@ -47,9 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .algebra import DomainError, Mat, ShapeError, Vec, _affine, hadamard, kleisli_apply, outer
-from .activation import act_deriv_map, act_map
-from .network import Layer, Network
+from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply, outer
+from .activation import act_deriv_map
+from .network import Layer, Network, _forward, _loaded
 
 if TYPE_CHECKING:
     from .loss import LossPredicate
@@ -109,32 +111,20 @@ def sweep(
 
     `erosion` is the output loss's erosion.  Layer i's weights are
     `weights[i]`, which the caller guarantees hold the layer's shape:
-    its row-major entry tuple or its `ArrayWeights`; by default, the
-    layer's own entries.  Returns the states a_0..a_m, the erosions
-    e_0..e_m (e_m at the output, e_0 at the input) and the error signals
-    s_1..s_m, one per layer, all against those weights.  Layer i's
-    gradient is `outer(s_i, a_(i-1) + (1.0,))`.  A forward pass that
-    leaves the finite floats raises `DomainError` naming the layer,
-    counted from 0.  Each loop runs over the layers, so depth costs no
-    stack.
+    its row-major entry tuple or its `ArrayWeights`; by default, those
+    that `_loaded` picks under the width rule, as for `net_forward`.
+    Returns the states a_0..a_m, the erosions e_0..e_m (e_m at the
+    output, e_0 at the input) and the error signals s_1..s_m, one per
+    layer, all against those weights.  Layer i's gradient is
+    `outer(s_i, a_(i-1) + (1.0,))`.  The forward half is `_forward`: a
+    forward pass that leaves the finite floats raises `DomainError`
+    naming the layer, counted from 0.  Each loop runs over the layers,
+    so depth costs no stack.
     """
-    if len(a) != net.in_dim:
-        raise ShapeError(f"network expects {net.in_dim} inputs, got {len(a)}")
     layers = net.layers
     if weights is None:
-        weights = [layer.transition.entries for layer in layers]
-    states = [a]
-    pre_activations = []
-    for idx, (layer, w) in enumerate(zip(layers, weights)):
-        # `Network` guarantees the state has this layer's input length
-        z = _affine(w, states[-1]) if type(w) is tuple else w.affine(states[-1])
-        try:
-            y = act_map(layer.activation, z)
-        except DomainError as exc:
-            raise DomainError(f"{exc} (layer {idx})") from exc
-        pre_activations.append(z)
-        states.append(y)
-
+        weights = _loaded(net)
+    states, pre_activations = _forward(net, a, weights)
     e = erosion(states[-1])
     # checked once: each pushed-back erosion has its layer's input length,
     # which `Network` guarantees is the previous layer's output length

@@ -10,10 +10,15 @@ The mask never participates in the forward pass; it only decides which
 entries a gradient update may touch.  A masked-off entry with a nonzero
 weight is a frozen connection, a masked-off zero entry is no connection.
 
-The forward pass, `net_forward`, is a left fold of `layer_forward` and
-keeps only the state it returns.  The backward sweep (`backward.sweep`)
-runs the same affine loop and activation itself and caches each layer's
-pre-activation there, so the two agree bit for bit.
+The forward loop, `_forward`, exists once.  It runs each layer's affine
+map on the step's weights for that layer, a row-major entry tuple or a
+wide layer's `_vectorized.ArrayWeights`, then its activation, and keeps
+every state and pre-activation.  `net_forward` is its last state, and
+the backward sweep (`backward.sweep`) runs it before its backward half,
+so the two agree bit for bit and name the layer of an overflow alike.
+Both take each layer's weights from `_loaded`, which owns the width
+rule and is the one reader of what a layer carries.  `layer_forward` is
+the one-layer map, `act_map` after `kleisli_apply`, and names no layer.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 from typing import Any, ClassVar, Sequence
 
 from .activation import Activation, act_map
-from .algebra import Mat, ShapeError, Vec, kleisli_apply
+from .algebra import DomainError, Mat, ShapeError, Vec, _affine, kleisli_apply
 
 BoolRow = tuple[bool, ...]
 BoolMat = tuple[BoolRow, ...]
@@ -50,7 +55,7 @@ class Layer:
     bias_mutable: BoolRow | None = None
     # The immutable step weights that the step which built this layer
     # leaves for the next step on it, or None.  `Network._with_weights`
-    # alone sets it and `backprop._loaded` alone reads it.  It is not a
+    # alone sets it and `_loaded` alone reads it.  It is not a
     # field, so equality, `repr` and serialization never see it.
     _carried: ClassVar[Any] = None
 
@@ -174,8 +179,8 @@ class Network:
         network was built; this is the engine's one unchecked
         construction.  The network itself is built through its O(depth)
         public check.  A carried value must be immutable, so it holds
-        the layer's entries for the life of the layer; this module
-        never reads it.
+        the layer's entries for the life of the layer; `_loaded` alone
+        reads it.
         """
         layers = []
         for layer, w in zip(self.layers, weights, strict=True):
@@ -212,14 +217,76 @@ def layer_forward(layer: Layer, x: Vec) -> Vec:
     return act_map(layer.activation, kleisli_apply(layer.transition, x))
 
 
-def net_forward(net: Network, x: Vec) -> Vec:
-    """Left fold of layer_forward; the empty network returns x unchanged."""
+# A layer whose transition has at least this many rows and at least this
+# many columns steps on the numpy kernels, when numpy can be imported.
+# The affine loop makes one numpy call per column and the pushback one
+# per row, so the shorter side decides whether they pay: a 1 x 601 layer
+# steps at half the pure speed on numpy.  Square layers start to win at
+# width 16 (1.1x per `backprop_step`, 1.4x per `train` step; 0.9x and
+# 1.1x at width 12; Python 3.11, numpy 2.4, 2-vCPU VM), but nets whose
+# layers are at most 16 x 17 must never import numpy, which costs more
+# than their whole run.
+WIDE_SIDE = 17
+
+# the `_vectorized` module once the first wide layer has tried to import
+# it, or False if numpy is missing: a failed import is not cached by
+# Python and would search the path again on every call
+_vectorized: Any = None
+
+
+def _loaded(net: Network) -> list[Any]:
+    """Each layer's step weights: for a layer with at least `WIDE_SIDE`
+    rows and columns when numpy can be imported, the `ArrayWeights` it
+    carries, or else new ones loaded from its entries; otherwise,
+    whatever the layer carries, its row-major entry tuple.  numpy is
+    imported here, on the first wide layer, and never at module import:
+    `_vectorized` imports this module."""
+    global _vectorized
+    weights = []
+    for layer in net.layers:
+        t = layer.transition
+        wide = min(t.rows, t.cols) >= WIDE_SIDE
+        if wide and _vectorized is None:
+            try:
+                from . import _vectorized as module
+            except ImportError:
+                module = False
+            _vectorized = module
+        if wide and _vectorized:
+            weights.append(layer._carried or _vectorized.ArrayWeights.of(layer))
+        else:
+            weights.append(t.entries)
+    return weights
+
+
+def _forward(
+    net: Network, x: Vec, weights: Sequence[Any]
+) -> tuple[list[Vec], list[Vec]]:
+    """The one forward loop: the states a_0..a_m of `net` at input `x`
+    and the pre-activations z_1..z_m, with layer i's affine map run on
+    `weights[i]`, which the caller guarantees holds the layer's shape:
+    its row-major entry tuple or its `ArrayWeights`, which give the same
+    bits.  Checks the input's length once; a state that leaves the finite
+    floats raises `DomainError` naming the layer, counted from 0.
+    """
     if len(x) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(x)}")
-    state = x
-    for layer in net.layers:
-        state = layer_forward(layer, state)
-    return state
+    states, pre_activations = [x], []
+    for idx, (layer, w) in enumerate(zip(net.layers, weights)):
+        # `Network` guarantees the state has this layer's input length
+        z = _affine(w, states[-1]) if type(w) is tuple else w.affine(states[-1])
+        try:
+            states.append(act_map(layer.activation, z))
+        except DomainError as exc:
+            raise DomainError(f"{exc} (layer {idx})") from exc
+        pre_activations.append(z)
+    return states, pre_activations
+
+
+def net_forward(net: Network, x: Vec) -> Vec:
+    """The forward loop's last state, each layer's weights taken under the
+    width rule; the empty network returns x unchanged."""
+    return _forward(net, x, _loaded(net))[0][-1]
 
 
 def compose(first: Network, second: Network) -> Network:

@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import mul
 
 from .activation import act_map
-from .algebra import Mat, ShapeError, Vec, _require_finite
+from .algebra import DomainError, Mat, ShapeError, Vec, _require_finite
 from .backward import Gradient
 from .loss import LossPredicate, validity
 from .network import Layer, Network, identity_net, layer_forward
@@ -76,7 +76,9 @@ def fd_layer_gradient(
     evaluation resumes those sums at the perturbed term, in the same
     order, runs `rest`'s later layers and evaluates `loss`.  It builds
     no matrix: a perturbed entry that is not finite raises `DomainError`
-    with the text a matrix holding it would raise.
+    with the text a matrix holding it would raise, and a layer of `rest`
+    whose state leaves the finite floats is named as the forward loop
+    names it, counted from 0 in `rest`.
     """
     cfg = cfg or FdConfig()
     eps = cfg.eps
@@ -124,9 +126,14 @@ def fd_layer_gradient(
                         for fk, x in zip(f_tail, y_tail):
                             acc += fk * x
                         zs.append(acc)
-                    state = act_map(first.activation, tuple(zs))
-                    for later_layer in later:
-                        state = layer_forward(later_layer, state)
+                    k = 0
+                    try:
+                        state = act_map(first.activation, tuple(zs))
+                        for k, later_layer in enumerate(later, 1):
+                            state = layer_forward(later_layer, state)
+                    except DomainError as exc:
+                        # named as `net_forward(rest, ...)` names it
+                        raise DomainError(f"{exc} (layer {k})") from exc
                 else:
                     outputs[j] = yj
                     state = tuple(outputs)

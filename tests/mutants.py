@@ -126,7 +126,7 @@ MUTANTS = [
     ),
     (
         "WIDE_SIDE = 16",
-        "src/nncat/backprop.py",
+        "src/nncat/network.py",
         "WIDE_SIDE = 17",
         "WIDE_SIDE = 16",
         ["tests/test_numpy_optional.py"],
@@ -176,15 +176,17 @@ MUTANTS = [
         ["tests/test_vectorized.py"],
     ),
     (
-        "backprop imports _vectorized eagerly",
-        "src/nncat/backprop.py",
-        "from .network import Layer, Network, compose, net_forward\n",
-        "from .network import Layer, Network, compose, net_forward\nfrom . import _vectorized\n",
+        # an eager `from . import _vectorized` here would be a circular
+        # import, which fails every target for another reason
+        "network imports numpy eagerly",
+        "src/nncat/network.py",
+        "from functools import cached_property\n",
+        "from functools import cached_property\nimport numpy\n",
         ["tests/test_numpy_optional.py"],
     ),
     (
         "the width rule skipped for a layer that carries weights",
-        "src/nncat/backprop.py",
+        "src/nncat/network.py",
         "if wide and _vectorized:",
         "if layer._carried or (wide and _vectorized):",
         ["tests/test_vectorized.py::test_the_width_rule_decides_whatever_a_layer_carries"],
@@ -198,7 +200,7 @@ MUTANTS = [
     ),
     (
         "_loaded ignores what the layer carries",
-        "src/nncat/backprop.py",
+        "src/nncat/network.py",
         "layer._carried or _vectorized.ArrayWeights.of(layer)",
         "_vectorized.ArrayWeights.of(layer)",
         ["tests/test_vectorized.py"],
@@ -241,6 +243,51 @@ MUTANTS = [
         "value = validity(states[-1], loss)",
         "value = validity(net_forward(net._with_weights(weights), x), loss)",
         ["tests/test_backprop.py", "tests/test_cli.py"],
+    ),
+    (
+        "the forward loop names layer idx + 1",
+        "src/nncat/network.py",
+        'raise DomainError(f"{exc} (layer {idx})") from exc',
+        'raise DomainError(f"{exc} (layer {idx + 1})") from exc',
+        ["tests/test_backprop.py", "tests/test_cli.py"],
+    ),
+    (
+        "net_forward skips the width rule",
+        "src/nncat/network.py",
+        "return _forward(net, x, _loaded(net))[0][-1]",
+        "return _forward(net, x, [layer.transition.entries for layer in net.layers])[0][-1]",
+        ["tests/test_vectorized.py::test_net_forward_runs_the_weights_a_layer_carries"],
+    ),
+    (
+        "the oracle drops the rest layer name",
+        "src/nncat/oracle.py",
+        'raise DomainError(f"{exc} (layer {k})") from exc',
+        "raise",
+        ["tests/test_differential.py"],
+    ),
+    (
+        "functoriality_check fails on equal entries",
+        "src/nncat/backprop.py",
+        "if abs(x - y) > tol:",
+        "if abs(x - y) >= tol:",
+        [
+            "tests/test_backprop.py::TestFunctoriality::test_exact_on_pure_composites",
+            "tests/test_vectorized.py::test_compositionality_is_bitwise_across_kernel_kinds",
+        ],
+    ),
+    (
+        "Mat's entry-count text adds rows and cols",
+        "src/nncat/algebra.py",
+        "needs {self.rows * self.cols} ",
+        "needs {self.rows + self.cols} ",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "kleisli_apply's shape text needs n - 1 columns",
+        "src/nncat/algebra.py",
+        "needs {n + 1} columns",
+        "needs {n - 1} columns",
+        ["tests/test_algebra.py"],
     ),
 ]
 

@@ -50,6 +50,11 @@ class TestMat:
         with pytest.raises(ShapeError):
             Mat(2, 2, (1.0, 2.0, 3.0))
 
+    def test_entry_count_error_names_the_product(self):
+        # 2x2 cannot tell rows * cols from rows + cols
+        with pytest.raises(ShapeError, match=r"^2x3 matrix needs 6 entries, got 5$"):
+            Mat(2, 3, (0.0,) * 5)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ShapeError):
             Mat.from_rows([(1, 2), (3,)])
@@ -99,7 +104,9 @@ class TestKleisliApply:
         assert kleisli_apply(t, (2.0, 3.0)) == (7.0, 8.0)
 
     def test_shape_error_names_both_dimensions(self):
-        with pytest.raises(ShapeError, match=r"2x3.*length 3"):
+        with pytest.raises(
+            ShapeError, match=r"^matrix is 2x3 but input of length 3 needs 4 columns$"
+        ):
             kleisli_apply(Mat(2, 3, (0.0,) * 6), (1.0, 2.0, 3.0))
 
     def test_matches_direct_summation(self):

@@ -87,8 +87,8 @@ class TestBackpropStep:
         ])
         with pytest.raises(DomainError, match=r"^activation input is not finite: inf \(layer 1\)$"):
             backprop_step(net, (2.0,), squared_error((0.0,), 1.0))
-        # the forward pass alone runs no sweep and names no layer
-        with pytest.raises(DomainError, match=r"^activation input is not finite: inf$"):
+        # the forward pass alone runs the same forward loop and names the same layer
+        with pytest.raises(DomainError, match=r"^activation input is not finite: inf \(layer 1\)$"):
             net_forward(net, (2.0,))
 
     def test_gradients_built_on_first_access(self):
@@ -194,6 +194,21 @@ class TestFunctoriality:
             a = random_state(rng, first.in_dim)
             loss = random_loss(rng, second.out_dim)
             assert functoriality_check(first, second, a, loss)
+
+    def test_exact_on_pure_composites(self):
+        # the law is bitwise, so a bound of 0 holds
+        net = mazur_network()
+        assert functoriality_check(
+            Network.chain(net.layers[:1]), Network.chain(net.layers[1:]), INPUT, mazur_loss(),
+            tol=0.0,
+        )
+        rng = random.Random(2425)
+        for _ in range(10):
+            mid = rng.randint(1, 4)
+            first = random_network(rng, rng.randint(1, 4), mid)
+            second = random_network(rng, mid, rng.randint(1, 4))
+            a = random_state(rng, first.in_dim)
+            assert functoriality_check(first, second, a, random_loss(rng, second.out_dim), tol=0.0)
 
     def test_detects_disagreement(self):
         # sanity check that the comparison can fail: compare against a

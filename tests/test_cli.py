@@ -99,8 +99,8 @@ class TestForward:
         assert run(["forward", "--net", str(path), "--input", "1e300"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("nncat: error: ")
-        # `forward` runs no backward sweep, so its message names no layer
-        assert err.endswith("big.json: activation input is not finite: inf\n")
+        # `forward` runs the sweep's forward loop, so its message names the layer
+        assert err == f"nncat: error: {path}: activation input is not finite: inf (layer 0)\n"
 
 
 class TestTrain:
@@ -368,6 +368,29 @@ class TestGradcheck:
     def test_option_is_not_taken_for_a_value(self, mazur_file, capsys):
         assert run(self.args(mazur_file, **{"--input": "--target"})) == 2
         assert "--input: expected one argument" in capsys.readouterr().err
+
+
+def test_every_command_names_the_layer_that_overflows(tmp_path, capsys):
+    """One file whose layer 0 overflows in the forward pass: `forward`,
+    `train` and `gradcheck` run the same forward loop, so each names the
+    layer alike; `forward` also names its file and `train` the row."""
+    net = tmp_path / "ovf.json"
+    write_network(net, Network.chain([make_layer(((1e308,),), (0.0,), TANH)]))
+    data = tmp_path / "rows.csv"
+    data.write_text("2.0,0\n")
+    text = "activation input is not finite: inf (layer 0)\n"
+    commands = [
+        (["forward", "--net", str(net), "--input", "2.0"], f"{net}: {text}"),
+        (["train", "--net", str(net), "--data", str(data), "--eta", "1", "--epochs", "1",
+          "--out", str(tmp_path / "o.json"), "--trace", str(tmp_path / "t.csv")],
+         f"epoch 1, row 1: {text}"),
+        (["gradcheck", "--net", str(net), "--input", "2.0", "--target", "0", "--eta", "1"],
+         text),
+    ]
+    for argv, want in commands:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"nncat: error: {want}")
 
 
 class TestUnreadableInput:

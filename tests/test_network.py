@@ -1,9 +1,13 @@
 import random
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nncat.activation import IDENTITY, SIGMOID
-from nncat.algebra import Mat, ShapeError
+from nncat import network
+from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID
+from nncat.algebra import DomainError, Mat, ShapeError
+from nncat.backward import sweep
 from nncat.network import (
     Layer,
     Network,
@@ -266,6 +270,56 @@ class TestNetForward:
         )
         x = (0.05, 0.1)
         assert layer_forward(layer, x) == layer_forward(frozen, x)
+
+
+@st.composite
+def forward_cases(draw):
+    """(net, x): in_dim 0-5, 1-3 layers, every activation, and each later
+    width 0-5 or, twice as often, `WIDE_SIDE` to `WIDE_SIDE` + 3, so a
+    layer between two wide widths runs on numpy when numpy is installed.
+    Half the nets have weights near 1e154, so their forward passes may
+    leave the finite floats."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    side = network.WIDE_SIDE
+    wide = st.integers(side, side + 3)
+    width = st.one_of(st.integers(0, 5), wide, wide)
+    dims = [draw(st.integers(0, 5))] + [draw(width) for _ in range(draw(st.integers(1, 3)))]
+    scale = draw(st.sampled_from((1.0, 1e154)))
+    acts = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
+    net = Network.chain(
+        [
+            random_layer(rng, n, k, draw(st.sampled_from(acts)), weight_scale=scale)
+            for n, k in zip(dims, dims[1:])
+        ]
+    )
+    return net, random_state(rng, net.in_dim)
+
+
+def bits_or_error(run):
+    """The bits of the state `run` returns, or its `DomainError` text."""
+    try:
+        state = run()
+    except DomainError as exc:
+        return str(exc)
+    return struct.pack(f"<{len(state)}d", *state)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=forward_cases())
+def test_net_forward_is_the_sweeps_last_state(case):
+    """One forward loop: `net_forward` and the sweep's forward half give
+    the same bits, or name the same layer, under the real width rule and
+    with every layer forced pure; and the two rules agree."""
+    net, x = case
+    got = []
+    for side in (network.WIDE_SIDE, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "WIDE_SIDE", side)
+            forward = bits_or_error(lambda: net_forward(net, x))
+            swept = bits_or_error(lambda: sweep(net, x, lambda y: (0.0,) * len(y))[0][-1])
+        assert forward == swept
+        got.append(forward)
+    assert got[0] == got[1]
 
 
 class TestCompose:

@@ -1,12 +1,13 @@
-"""numpy is optional and imported only when a wide layer steps.
+"""numpy is optional and imported only when a wide layer runs.
 
 `import nncat` must not import numpy, and neither may training the
-Mazur net, stepping an 8-16-16-8 net or checking its gradients:
-importing numpy costs a short run more time and memory than its whole
-step.  So the import happens inside the kernel choice, and
-`backprop.WIDE_SIDE` keeps every layer of those nets, at most 16 x 17,
-on the pure kernels; none of their layers carries numpy weights into
-the next step.
+Mazur net, or stepping, running forward, checking the validity equation
+of or checking the gradients of an 8-16-16-8 net: importing numpy costs
+a short run more time and memory than its whole step.  So the import
+happens inside the kernel choice, `network._loaded`, which the forward
+loop and the step share, and `network.WIDE_SIDE` keeps every layer of
+those nets, at most 16 x 17, on the pure kernels; none of their layers
+carries numpy weights into the next step.
 Without numpy, a wide layer steps on the pure kernels too.  Neither
 test needs numpy installed.
 """
@@ -17,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from nncat import backprop
+from nncat import backprop, network
 from nncat.loss import squared_error
 from nncat.network import Network
 from nncat.randnet import random_layer
@@ -50,6 +51,12 @@ rc = cli.main([
 ])
 assert rc == 0, rc
 assert "numpy" not in sys.modules, "gradcheck"
+rc = cli.main(["forward", "--net", sys.argv[1], "--input", ",".join(["0.5"] * 8)])
+assert rc == 0, rc
+assert "numpy" not in sys.modules, "forward"
+lhs, rhs = nncat.validity_equation_check(net, (0.5,) * 8, nncat.squared_error((0.25,) * 8, 0.1))
+assert lhs == rhs, (lhs, rhs)
+assert "numpy" not in sys.modules, "validity_equation_check"
 """
 
 
@@ -65,18 +72,18 @@ def test_small_nets_never_import_numpy(tmp_path):
 
 def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     rng = random.Random(2)
-    side = backprop.WIDE_SIDE
+    side = network.WIDE_SIDE
     net = Network.chain([random_layer(rng, side, side, mask_density=0.5)])
     x, loss = (0.5,) * side, squared_error((0.25,) * side, 0.1)
-    monkeypatch.setattr(backprop, "WIDE_SIDE", 10**9)
+    monkeypatch.setattr(network, "WIDE_SIDE", 10**9)
     want, _ = backprop.backprop_step(net, x, loss)
 
-    monkeypatch.setattr(backprop, "WIDE_SIDE", side)
+    monkeypatch.setattr(network, "WIDE_SIDE", side)
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setitem(sys.modules, "nncat._vectorized", None)
     monkeypatch.delattr("nncat._vectorized", raising=False)
-    monkeypatch.setattr(backprop, "_vectorized", None)
-    assert backprop._loaded(net) == [net.layers[0].transition.entries]
-    assert backprop._vectorized is False
+    monkeypatch.setattr(network, "_vectorized", None)
+    assert network._loaded(net) == [net.layers[0].transition.entries]
+    assert network._vectorized is False
     got, _ = backprop.backprop_step(net, x, loss)
     assert got == want

@@ -10,9 +10,10 @@ the source.
 What a layer carries, `Layer._carried`, has one writer and one reader.
 The rebuild is the one writer: it takes each layer's entries and the
 immutable weights it carries from one object, so they cannot disagree.
-`backprop._loaded` is the one reader: it reads them only for a layer
-that the width rule sends to numpy.  A write or a read anywhere else
-breaks the rule.
+`network._loaded`, which gives the forward loop and the step their
+weights, is the one reader: it reads them only for a layer that the
+width rule sends to numpy.  So the one writer and the one reader live
+in one module.  A write or a read anywhere else breaks the rule.
 """
 
 import ast
@@ -22,7 +23,7 @@ from typing import Callable
 import nncat
 
 REBUILD = "network.py:Network._with_weights"
-LOADER = "backprop.py:_loaded"
+LOADER = "network.py:_loaded"
 CARRIED = "_carried"
 
 

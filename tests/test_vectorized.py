@@ -1,16 +1,16 @@
 """The numpy kernels against the pure ones, bit for bit.
 
-A layer with at least `backprop.WIDE_SIDE` rows and columns steps on
-`_vectorized.ArrayWeights` when numpy can be imported; every other
-layer steps on the pure kernels, the reference: `algebra._affine`,
-`backward._pushback_entries` and `backprop._updated_entries`.  Both
-must give the same floats, compared as IEEE 754 bits: the updated
-weights and the
-step's states, erosions and signals, or the same `DomainError` text,
-naming the same layer.  The tests reach each path by setting
-`WIDE_SIDE`: 0 sends every layer to numpy, a size above every layer's
-keeps them all pure.  Every numpy kernel runs with warnings as errors,
-so an overflow that numpy reported as a `RuntimeWarning` would fail.
+A layer with at least `network.WIDE_SIDE` rows and columns runs forward
+and steps on `_vectorized.ArrayWeights` when numpy can be imported;
+every other layer runs on the pure kernels, the reference:
+`algebra._affine`, `backward._pushback_entries` and
+`backprop._updated_entries`.  Both must give the same floats, compared
+as IEEE 754 bits: the updated weights and the step's states, erosions
+and signals, or the same `DomainError` text, naming the same layer.
+The tests reach each path by setting `WIDE_SIDE`: 0 sends every layer
+to numpy, a size above every layer's keeps them all pure.  Every numpy
+kernel runs with warnings as errors, so an overflow that numpy reported
+as a `RuntimeWarning` would fail.
 
 Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
 every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
@@ -21,7 +21,7 @@ next step on it.  Chains of steps on the carried weights must equal
 chains of pure steps, bit for bit.  The weights are values: every array
 is read-only from construction, a step never changes weights that a
 layer carries, and the width rule picks the pure kernels whatever a
-layer carries.
+layer carries.  `net_forward` takes the weights a layer carries too.
 """
 
 import random
@@ -34,7 +34,7 @@ np = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from nncat import backprop  # noqa: E402
+from nncat import backprop, network  # noqa: E402
 from nncat._vectorized import ArrayWeights  # noqa: E402
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
 from nncat.algebra import DomainError, Mat, _affine  # noqa: E402
@@ -49,7 +49,7 @@ from helpers import law_sides, random_loss  # noqa: E402
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 ALL_NUMPY = 0
 ALL_PURE = 10**9
-WIDE = backprop.WIDE_SIDE
+WIDE = network.WIDE_SIDE
 FLAGS = {
     1.0: st.just(True),
     0.5: st.booleans(),
@@ -89,7 +89,7 @@ def step(net, a, loss, side):
     """`backprop_step` with `WIDE_SIDE` set to `side`: `step_bits`, or
     the error text."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backprop, "WIDE_SIDE", side)
+        mp.setattr(network, "WIDE_SIDE", side)
         try:
             stepped, trace = backprop.backprop_step(net, a, loss)
         except DomainError as exc:
@@ -211,7 +211,7 @@ def test_widths_on_both_sides_of_the_constant(density):
     chained steps equal three pure steps."""
     rng = random.Random(7)
     net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), density)
-    chosen = [isinstance(w, ArrayWeights) for w in backprop._loaded(net)]
+    chosen = [isinstance(w, ArrayWeights) for w in network._loaded(net)]
     assert chosen == [True, False, True]
     for _ in range(3):
         a, target = random_state(rng, WIDE, 1.0), random_state(rng, WIDE, 0.9)
@@ -226,10 +226,10 @@ def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
     dataset = [
         (random_state(rng, WIDE + 3, 1.0), random_state(rng, WIDE + 2, 0.9)) for _ in range(3)
     ]
-    assert all(isinstance(w, ArrayWeights) for w in backprop._loaded(net))
+    assert all(isinstance(w, ArrayWeights) for w in network._loaded(net))
     trained, losses = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
 
-    monkeypatch.setattr(backprop, "WIDE_SIDE", ALL_PURE)
+    monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
     folded, want = net, []
     for _ in range(2):
         for x, t in dataset:
@@ -266,11 +266,17 @@ def mixed_splits(draw):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mixed_splits())
 def test_compositionality_is_bitwise_across_kernel_kinds(case):
-    """The whole step pushes the erosion back through a wide layer on
-    numpy, but `transform_loss` pulls it back through the pure sweep,
-    so the law also holds one kernel kind to the other's bits."""
+    """Under the real width rule the steps, `transform_loss` and
+    `net_forward` run the wide layers on numpy and the rest pure, so
+    the law holds on networks that mix both kinds.  With every layer
+    forced pure, the composite of the steps has the same bits, so the
+    law also holds one kernel kind to the other's bits."""
     whole, split = law_sides(*case)
     assert whole == split
+    assert backprop.functoriality_check(*case, tol=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "WIDE_SIDE", ALL_PURE)
+        assert law_sides(*case)[1] == whole
 
 
 def uniform_net(scales):
@@ -306,7 +312,7 @@ def test_a_diverging_wide_train_raises_the_pure_text(monkeypatch):
     dataset = [((0.0,) * WIDE, (0.0,) * WIDE), ((1.0,) * WIDE, (0.0,) * WIDE)]
     texts = []
     for side in (WIDE, ALL_PURE):
-        monkeypatch.setattr(backprop, "WIDE_SIDE", side)
+        monkeypatch.setattr(network, "WIDE_SIDE", side)
         with pytest.raises(DomainError) as caught:
             backprop.train(net, dataset, 1e200, backprop.SgdConfig(epochs=1))
         texts.append(str(caught.value))
@@ -350,16 +356,15 @@ def carries(net):
 
 
 def counted_loads(monkeypatch):
-    """A list that grows by one each time a step loads a layer's entries
-    into an array, rather than taking the weights the layer carries."""
+    """A list that grows by the layer each time `ArrayWeights.of` loads
+    a layer's entries into an array.  A step that takes the weights a
+    layer carries does not call it."""
     loads = []
     of = ArrayWeights.of.__func__
 
     def counted(cls, layer):
-        weights = of(cls, layer)
-        if weights is not layer._carried:
-            loads.append(layer)
-        return weights
+        loads.append(layer)
+        return of(cls, layer)
 
     monkeypatch.setattr(ArrayWeights, "of", classmethod(counted))
     return loads
@@ -371,7 +376,7 @@ def chained(net, cases, side):
     `side`, and the last network."""
     got = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backprop, "WIDE_SIDE", side)
+        mp.setattr(network, "WIDE_SIDE", side)
         for a, loss in cases:
             net, trace = backprop.backprop_step(net, a, loss)
             got.append(step_bits(net, trace))
@@ -455,11 +460,36 @@ def test_the_width_rule_decides_whatever_a_layer_carries(monkeypatch):
     assert carries(stepped) == [True, True]
     fresh = parse_network(serialize_network(stepped))
     for side in (ALL_PURE, WIDE):
-        monkeypatch.setattr(backprop, "WIDE_SIDE", side)
-        assert backprop._loaded(stepped) == [layer.transition.entries for layer in stepped.layers]
+        monkeypatch.setattr(network, "WIDE_SIDE", side)
+        assert network._loaded(stepped) == [layer.transition.entries for layer in stepped.layers]
         again, trace = backprop.backprop_step(stepped, a, loss)
         assert carries(again) == [False, False]
         assert step_bits(again, trace) == step(fresh, a, loss, ALL_PURE)
+
+
+def test_net_forward_runs_the_weights_a_layer_carries(monkeypatch):
+    """`net_forward` follows the width rule: on a network whose wide
+    layers carry weights it loads no entries and runs each wide layer's
+    affine map on numpy, once, with the pure forward pass's bits."""
+    rng = random.Random(43)
+    net = wide_net(rng, (WIDE, WIDE + 1, WIDE, 3), 0.9)
+    x = random_state(rng, WIDE, 1.0)
+    stepped, _ = backprop.backprop_step(net, x, squared_error(random_state(rng, 3, 0.9), 0.1))
+    assert carries(stepped) == [True, True, False]
+    loads, affines = counted_loads(monkeypatch), []
+    affine = ArrayWeights.affine
+
+    def counted(weights, state):
+        affines.append(weights)
+        return affine(weights, state)
+
+    monkeypatch.setattr(ArrayWeights, "affine", counted)
+    got = net_forward(stepped, x)
+    assert loads == []
+    assert affines == [layer._carried for layer in stepped.layers[:2]]
+    monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
+    assert bits(got) == bits(net_forward(stepped, x))
+    assert len(affines) == 2
 
 
 def test_train_hands_its_arrays_to_the_network_it_returns(monkeypatch):
@@ -475,7 +505,7 @@ def test_train_hands_its_arrays_to_the_network_it_returns(monkeypatch):
     assert carries(trained) == [True, True]
     again, losses = backprop.train(trained, dataset, 0.25, backprop.SgdConfig(epochs=1))
     assert len(loads) == 2
-    monkeypatch.setattr(backprop, "WIDE_SIDE", ALL_PURE)
+    monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
     want, pure = backprop.train(
         parse_network(serialize_network(trained)), dataset, 0.25, backprop.SgdConfig(epochs=1)
     )

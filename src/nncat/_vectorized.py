@@ -23,8 +23,9 @@ the bits.  Each kernel runs with numpy's floating-point warnings off,
 so an overflow gives inf or nan, as it does in pure Python, and the
 shared checks raise the pure path's `DomainError`.
 
-Importing this module imports numpy; `network._loaded` imports it only
-when a layer wide enough to gain runs forward or steps.
+Importing this module imports numpy; `network.Layer._step_weights`
+imports it only when a layer wide enough to gain first runs forward or
+steps, and loads that layer's `ArrayWeights` once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ArrayWeights:
     boolean array of the same shape, both read-only from construction.
     The kernels read them; `update` returns new weights and writes only
     the array it allocates, so no step changes weights that a layer
-    carries."""
+    holds."""
 
     __slots__ = ("array", "frozen")
 

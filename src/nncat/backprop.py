@@ -16,12 +16,12 @@ discipline is what makes the step compose: stepping a concatenated
 network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
-The step works on each layer's weights as one value: its flat,
-row-major entry tuple or, for a layer with at least `network.WIDE_SIDE`
-rows and columns when numpy can be imported, its
-`_vectorized.ArrayWeights`, a read-only array whose methods are numpy
-twins, with the same bits, of the layer's only O(rows * cols) work: the
-affine map, the pushback and the masked update.  `_step` shares the
+The step works on each layer's weights as one value, the layer's
+`_step_weights`: its flat, row-major entry tuple or, for a layer with at
+least `network.WIDE_SIDE` rows and columns when numpy can be imported,
+its `_vectorized.ArrayWeights`, a read-only array whose methods are
+numpy twins, with the same bits, of the layer's only O(rows * cols)
+work: the affine map, the pushback and the masked update.  `_step` shares the
 rest: it sweeps against the weights and replaces each, from the last
 layer to the first, with its updated weights, checking once that every
 product and every new entry is finite.  An update returns new weights
@@ -29,15 +29,15 @@ and never writes the ones it read, so nothing is copied.
 `backprop_step` hands the list of new weights, as it is, to
 `Network._with_weights`, the one rebuild that reuses the shapes, masks
 and bias flags already checked and does not scan the entries again.  It
-stores each item's entry tuple, and a layer rebuilt from `ArrayWeights`
-carries them, so a later step on that layer, in any network, starts
-from them and loads nothing from the entries.  `network._loaded`, which
-`net_forward` also calls, is the one reader of what a layer carries,
-and it reads it only after the width rule, which still decides, on
-every call, whether a layer runs on numpy at all.  `train` loads the
-weights once and holds them for the whole run, and builds a network
-from them once, for its last step, which is `backprop_step`; no other
-step builds a matrix, layer, network or trace.  The trace keeps the
+stores each item's entry tuple and seeds the new layer's step weights
+with the item itself, so a later step or forward pass on that layer, in
+any network, starts from them, loads nothing from the entries and runs
+the kind of kernel this step ran.  `network._loaded`, which
+`net_forward` also calls, is the one reader of a layer's step weights;
+a layer no step built chooses its kind once, at its first read.  `train`
+reads the weights once and holds them for the whole run, and builds a
+network from them once, for its last step, which is `backprop_step`; no
+other step builds a matrix, layer, network or trace.  The trace keeps the
 signals and builds the gradients only when they are read.
 """
 

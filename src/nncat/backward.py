@@ -18,8 +18,9 @@ from last to first, reading each error signal off the cached states and
 pushing it back to the input erosion through the weight columns, read
 in place.  It reads each layer's weights as the caller passes them,
 which is how `train` steps weights that live in no `Mat` until its last
-step, or else as `network._loaded` gives them, the width rule that
-`net_forward` follows too.  The sweep builds no gradient and no update:
+step, or else as `network._loaded` gives them: each layer's step
+weights, of the kind chosen once for that layer, which `net_forward`
+runs too.  The sweep builds no gradient and no update:
 `backprop_step` updates each layer straight from its signal,
 `layer_erosion_vector` is the one-layer sweep's signal, `layer_gradient`
 is `outer` over it, and `erosion_transform_net` keeps the erosion at
@@ -112,7 +113,7 @@ def sweep(
     `erosion` is the output loss's erosion.  Layer i's weights are
     `weights[i]`, which the caller guarantees hold the layer's shape:
     its row-major entry tuple or its `ArrayWeights`; by default, those
-    that `_loaded` picks under the width rule, as for `net_forward`.
+    that `_loaded` reads off each layer, as for `net_forward`.
     Returns the states a_0..a_m, the erosions e_0..e_m (e_m at the
     output, e_0 at the input) and the error signals s_1..s_m, one per
     layer, all against those weights.  Layer i's gradient is

@@ -7,13 +7,14 @@ commands raise; `main` alone turns an error into exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import random
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
-from .algebra import DomainError, ShapeError
+from .algebra import DomainError, ShapeError, Vec
 from .backprop import SgdConfig, backprop_step, train
 from .demo import run_demo
 from .fileio import (
@@ -80,16 +81,31 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, bool]]:
     return parser, options
 
 
+def _vector(args: argparse.Namespace, option: str) -> Vec:
+    """The state literal given as `--option`; a bad one names the option."""
+    try:
+        return parse_vector(getattr(args, option))
+    except FileFormatError as exc:
+        raise FileFormatError(f"--{option}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _naming(path: str | None) -> Iterator[None]:
+    """A shape or overflow error raised inside names the network file
+    `path` first, when the network came from one."""
+    try:
+        yield
+    except (ShapeError, DomainError) as exc:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_forward(args: argparse.Namespace) -> int:
     net = read_network(args.net)
-    try:
-        x = parse_vector(args.input)
-    except FileFormatError as exc:
-        raise FileFormatError(f"--input: {exc}") from None
-    try:
+    x = _vector(args, "input")
+    with _naming(args.net):
         y = net_forward(net, x)
-    except (ShapeError, DomainError) as exc:
-        raise ValueError(f"{args.net}: {exc}") from exc
     print(",".join(f"{v:.8f}" for v in y))
     return 0
 
@@ -121,27 +137,30 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     # 0 is a valid bound that only exact agreement meets
     if not args.tol >= 0.0:
         raise ValueError(f"--tol must be >= 0, got {args.tol}")
-    x = parse_vector(args.input)
-    target = parse_vector(args.target)
+    x = _vector(args, "input")
+    target = _vector(args, "target")
     net = _gradcheck_network(args, len(x), len(target))
     loss = squared_error(target, args.eta)
     cfg = FdConfig(eps=args.eps)
-    _, trace = backprop_step(net, x, loss)
     all_ok = True
-    for idx, layer in enumerate(net.layers):
-        suffix = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
-        try:
-            fd = fd_layer_gradient(layer, trace.states[idx], loss, cfg, rest=suffix)
-        except DomainError as exc:
-            raise DomainError(f"layer {idx}: finite differences at --eps {args.eps}: {exc}") from exc
-        pairs = zip(trace.gradients[idx].matrix.entries, fd.matrix.entries)
-        deviation = max((abs(a - b) for a, b in pairs), default=0.0)
-        ok = deviation <= args.tol
-        all_ok &= ok
-        print(
-            f"layer {idx}: max |analytic - fd| = {deviation:.3e} "
-            f"(tol {args.tol:.3e}) {'ok' if ok else 'FAIL'}"
-        )
+    with _naming(args.net):
+        _, trace = backprop_step(net, x, loss)
+        for idx, layer in enumerate(net.layers):
+            suffix = Network(net.layers[idx + 1 :], layer.out_dim, net.out_dim)
+            try:
+                fd = fd_layer_gradient(layer, trace.states[idx], loss, cfg, rest=suffix)
+            except DomainError as exc:
+                raise DomainError(
+                    f"layer {idx}: finite differences at --eps {args.eps}: {exc}"
+                ) from exc
+            pairs = zip(trace.gradients[idx].matrix.entries, fd.matrix.entries)
+            deviation = max((abs(a - b) for a, b in pairs), default=0.0)
+            ok = deviation <= args.tol
+            all_ok &= ok
+            print(
+                f"layer {idx}: max |analytic - fd| = {deviation:.3e} "
+                f"(tol {args.tol:.3e}) {'ok' if ok else 'FAIL'}"
+            )
     if not net.layers:
         print("network has no layers; nothing to check")
     return 0 if all_ok else 1

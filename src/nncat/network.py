@@ -16,16 +16,19 @@ wide layer's `_vectorized.ArrayWeights`, then its activation, and keeps
 every state and pre-activation.  `net_forward` is its last state, and
 the backward sweep (`backward.sweep`) runs it before its backward half,
 so the two agree bit for bit and name the layer of an overflow alike.
-Both take each layer's weights from `_loaded`, which owns the width
-rule and is the one reader of what a layer carries.  `layer_forward` is
-the one-layer map, `act_map` after `kleisli_apply`, and names no layer.
+Both take each layer's weights from `_loaded`, the one reader of
+`Layer._step_weights`.  That value applies the width rule once per
+layer, at its first read, unless the step that built the layer seeded
+it; so the kind of kernel is a fixed property of the layer.
+`layer_forward` is the one-layer map, `act_map` after `kleisli_apply`,
+and names no layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, ClassVar, Sequence
+from typing import Any, Sequence
 
 from .activation import Activation, act_map
 from .algebra import DomainError, Mat, ShapeError, Vec, _affine, kleisli_apply
@@ -53,11 +56,6 @@ class Layer:
     activation: Activation
     mask: BoolMat | None = None
     bias_mutable: BoolRow | None = None
-    # The immutable step weights that the step which built this layer
-    # leaves for the next step on it, or None.  `Network._with_weights`
-    # alone sets it and `_loaded` alone reads it.  It is not a
-    # field, so equality, `repr` and serialization never see it.
-    _carried: ClassVar[Any] = None
 
     def __post_init__(self) -> None:
         if self.transition.cols < 1:
@@ -85,6 +83,30 @@ class Layer:
         on first read and kept on the instance, outside the fields, so
         equality, hashing and `repr` never see it."""
         return tuple(f for row, b in zip(self.mask, self.bias_mutable) for f in row + (b,))
+
+    @cached_property
+    def _step_weights(self) -> Any:
+        """The immutable weights that this layer's forward passes and
+        steps run on, chosen once, at first read: for a layer with at
+        least `WIDE_SIDE` rows and columns when numpy can be imported,
+        `ArrayWeights` loaded from its entries; otherwise its row-major
+        entry tuple.  numpy is imported here, for the first wide layer,
+        and never at module import: `_vectorized` imports this module.
+        `Network._with_weights` alone seeds it, with the step's new
+        weights, and `_loaded` alone reads it.  Like `mutable`, it lives
+        outside the fields, so equality, `repr` and serialization never
+        see it."""
+        global _vectorized
+        t = self.transition
+        if min(t.rows, t.cols) < WIDE_SIDE:
+            return t.entries
+        if _vectorized is None:
+            try:
+                from . import _vectorized as module
+            except ImportError:
+                module = False
+            _vectorized = module
+        return _vectorized.ArrayWeights.of(self) if _vectorized else t.entries
 
     @property
     def in_dim(self) -> int:
@@ -169,8 +191,10 @@ class Network:
         step's weights `weights[i]`, for the engine's own rebuilds
         (updates).  Each item is either a row-major entry tuple, stored
         as the new `Mat`'s entries, or a value whose `entries()` gives
-        that tuple, which the new layer also carries as `_carried`.  So
-        a layer's entries and its carried weights come from one object.
+        that tuple.  Each item, either kind, seeds the new layer's
+        `_step_weights`, so a layer's entries and its step weights come
+        from one object, and a stepped layer keeps the kind of kernel
+        its step ran on.
 
         Precondition: each item holds layer i's rows x cols finite
         floats, as the step's update has checked once.  So each new
@@ -178,9 +202,8 @@ class Network:
         the shape, activation, mask and bias flags checked when this
         network was built; this is the engine's one unchecked
         construction.  The network itself is built through its O(depth)
-        public check.  A carried value must be immutable, so it holds
-        the layer's entries for the life of the layer; `_loaded` alone
-        reads it.
+        public check.  An item must be immutable, since it holds the
+        layer's entries for the life of the layer.
         """
         layers = []
         for layer, w in zip(self.layers, weights, strict=True):
@@ -193,8 +216,7 @@ class Network:
             object.__setattr__(new, "activation", layer.activation)
             object.__setattr__(new, "mask", layer.mask)
             object.__setattr__(new, "bias_mutable", layer.bias_mutable)
-            if type(w) is not tuple:
-                object.__setattr__(new, "_carried", w)
+            object.__setattr__(new, "_step_weights", w)
             layers.append(new)
         return Network(tuple(layers), self.in_dim, self.out_dim)
 
@@ -218,7 +240,9 @@ def layer_forward(layer: Layer, x: Vec) -> Vec:
 
 
 # A layer whose transition has at least this many rows and at least this
-# many columns steps on the numpy kernels, when numpy can be imported.
+# many columns runs forward and steps on the numpy kernels, when numpy
+# can be imported.  Each layer reads it once, at its first use
+# (`Layer._step_weights`), so a new value applies to layers not yet used.
 # The affine loop makes one numpy call per column and the pushback one
 # per row, so the shorter side decides whether they pay: a 1 x 601 layer
 # steps at half the pure speed on numpy.  Square layers start to win at
@@ -230,33 +254,13 @@ WIDE_SIDE = 17
 
 # the `_vectorized` module once the first wide layer has tried to import
 # it, or False if numpy is missing: a failed import is not cached by
-# Python and would search the path again on every call
+# Python and would search the path again for every wide layer
 _vectorized: Any = None
 
 
 def _loaded(net: Network) -> list[Any]:
-    """Each layer's step weights: for a layer with at least `WIDE_SIDE`
-    rows and columns when numpy can be imported, the `ArrayWeights` it
-    carries, or else new ones loaded from its entries; otherwise,
-    whatever the layer carries, its row-major entry tuple.  numpy is
-    imported here, on the first wide layer, and never at module import:
-    `_vectorized` imports this module."""
-    global _vectorized
-    weights = []
-    for layer in net.layers:
-        t = layer.transition
-        wide = min(t.rows, t.cols) >= WIDE_SIDE
-        if wide and _vectorized is None:
-            try:
-                from . import _vectorized as module
-            except ImportError:
-                module = False
-            _vectorized = module
-        if wide and _vectorized:
-            weights.append(layer._carried or _vectorized.ArrayWeights.of(layer))
-        else:
-            weights.append(t.entries)
-    return weights
+    """Each layer's step weights, `Layer._step_weights`; the one reader."""
+    return [layer._step_weights for layer in net.layers]
 
 
 def _forward(

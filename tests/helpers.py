@@ -8,15 +8,23 @@ code) before being frozen.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import struct
 
-from nncat import Network, make_layer, squared_error
+from nncat import Network, make_layer, network, squared_error
 from nncat.activation import ACTIVATIONS, SIGMOID
 from nncat.backprop import backprop_step
 from nncat.loss import transform_loss
 from nncat.network import compose, net_forward
+
+try:
+    import numpy  # noqa: F401
+except ImportError:
+    HAVE_NUMPY = False
+else:
+    HAVE_NUMPY = True
 
 # The worked two-layer example: weights, input, target, rate.
 FIRST_WEIGHTS = ((0.15, 0.2), (0.25, 0.3))
@@ -127,3 +135,30 @@ def law_sides(first, second, a, loss):
         [struct.pack("<d", w) for layer in net.layers for w in layer.transition.entries]
         for net in (whole, compose(left, right))
     )
+
+
+# A layer chooses its kind of kernel, pure or numpy, once: at its first
+# use under `network.WIDE_SIDE`, or by the step that built it.  A test
+# that compares the two kinds runs each side on layers of its own.
+
+
+def rebuilt(net):
+    """`net` with each layer built anew through the public constructor,
+    so each chooses its kind of kernel again, at its first use."""
+    layers = tuple(dataclasses.replace(layer) for layer in net.layers)
+    return Network(layers, net.in_dim, net.out_dim)
+
+
+def on_numpy(net):
+    """Which layers of `net` run on the numpy kernels: those whose step
+    weights are no entry tuple.  A layer not used yet chooses here."""
+    return [type(w) is not tuple for w in network._loaded(net)]
+
+
+def numpy_under(net, side):
+    """Which layers of `net` the width rule sends to numpy when
+    `WIDE_SIDE` is `side`: none without numpy."""
+    return [
+        HAVE_NUMPY and min(layer.transition.rows, layer.transition.cols) >= side
+        for layer in net.layers
+    ]

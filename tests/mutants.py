@@ -132,6 +132,20 @@ MUTANTS = [
         ["tests/test_numpy_optional.py"],
     ),
     (
+        "a shape or overflow error names no network file",
+        "src/nncat/cli.py",
+        "if path is None:",
+        "if True:",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "a bad state literal names no option",
+        "src/nncat/cli.py",
+        'raise FileFormatError(f"--{option}: {exc}") from None',
+        "raise",
+        ["tests/test_cli.py"],
+    ),
+    (
         "cli.main catches only OSError",
         "src/nncat/cli.py",
         "except (OSError, ValueError) as exc:",
@@ -185,11 +199,15 @@ MUTANTS = [
         ["tests/test_numpy_optional.py"],
     ),
     (
-        "the width rule skipped for a layer that carries weights",
+        # every layer is wide, so small nets import numpy
+        "the cached kernel choice ignores WIDE_SIDE",
         "src/nncat/network.py",
-        "if wide and _vectorized:",
-        "if layer._carried or (wide and _vectorized):",
-        ["tests/test_vectorized.py::test_the_width_rule_decides_whatever_a_layer_carries"],
+        "if min(t.rows, t.cols) < WIDE_SIDE:",
+        "if False:",
+        [
+            "tests/test_vectorized.py::test_widths_on_both_sides_of_the_constant",
+            "tests/test_numpy_optional.py::test_small_nets_never_import_numpy",
+        ],
     ),
     (
         "ArrayWeights leaves its arrays writable",
@@ -199,18 +217,33 @@ MUTANTS = [
         ["tests/test_vectorized.py"],
     ),
     (
+        # the choice is made afresh on every call, so every use reloads
         "_loaded ignores what the layer carries",
         "src/nncat/network.py",
-        "layer._carried or _vectorized.ArrayWeights.of(layer)",
-        "_vectorized.ArrayWeights.of(layer)",
-        ["tests/test_vectorized.py"],
+        "return [layer._step_weights for layer in net.layers]",
+        "return [Layer._step_weights.func(layer) for layer in net.layers]",
+        [
+            "tests/test_vectorized.py::test_a_chain_of_carried_steps_equals_the_pure_chain",
+            "tests/test_vectorized.py::test_a_parsed_wide_net_loads_each_layer_once",
+        ],
     ),
     (
+        # each stepped layer chooses and loads again at its first use
         "_with_weights carries nothing",
         "src/nncat/network.py",
-        "if type(w) is not tuple:",
-        "if False:",
-        ["tests/test_vectorized.py"],
+        'object.__setattr__(new, "_step_weights", w)',
+        "pass",
+        [
+            "tests/test_vectorized.py::test_a_chain_of_carried_steps_equals_the_pure_chain",
+            "tests/test_vectorized.py::test_a_layer_keeps_the_kind_of_its_first_use",
+        ],
+    ),
+    (
+        "a new layer is seeded with its parent's weights",
+        "src/nncat/network.py",
+        'object.__setattr__(new, "_step_weights", w)',
+        'object.__setattr__(new, "_step_weights", layer._step_weights)',
+        ["tests/test_vectorized.py::test_a_chain_of_carried_steps_equals_the_pure_chain"],
     ),
     (
         "Mat keeps a list",
@@ -220,21 +253,20 @@ MUTANTS = [
         ["tests/test_algebra.py", "tests/test_vectorized.py"],
     ),
     (
-        "a stray _carried write",
+        "a stray _step_weights write",
         "src/nncat/backprop.py",
         "    return net._with_weights(weights), trace\n",
         "    stepped = net._with_weights(weights)\n"
         "    for layer, w in zip(stepped.layers, weights):\n"
-        "        if type(w) is not tuple:\n"
-        '            object.__setattr__(layer, "_carried", w)\n'
+        '        object.__setattr__(layer, "_step_weights", w)\n'
         "    return stepped, trace\n",
         ["tests/test_unchecked_rebuild_rule.py::test_one_place_sets_what_a_layer_carries"],
     ),
     (
-        "a stray _carried read",
-        "src/nncat/_vectorized.py",
-        "        t = layer.transition\n",
-        "        assert layer._carried is None\n        t = layer.transition\n",
+        "a stray _step_weights read",
+        "src/nncat/backprop.py",
+        "    weights = _loaded(net)\n",
+        "    weights = [layer._step_weights for layer in net.layers]\n",
         ["tests/test_unchecked_rebuild_rule.py::test_one_place_reads_what_a_layer_carries"],
     ),
     (

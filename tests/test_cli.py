@@ -88,7 +88,7 @@ class TestForward:
 
     def test_bad_input_literal(self, mazur_file, capsys):
         assert run(["forward", "--net", mazur_file, "--input", "1,x"]) == 2
-        assert "--input" in capsys.readouterr().err
+        assert capsys.readouterr().err == "nncat: error: --input: entry 1 is not a number: 'x'\n"
 
     def test_missing_argument_is_usage_error(self):
         assert run(["forward", "--net", "whatever"]) == 2
@@ -300,6 +300,24 @@ class TestGradcheck:
     def test_net_and_seed_conflict(self, mazur_file):
         assert run(self.args(mazur_file, **{"--seed": "3"})) == 2
 
+    @pytest.mark.parametrize(
+        "option, value, text",
+        [("--input", "x,1", "entry 0 is not a number: 'x'"),
+         ("--target", "0.1,zz", "entry 1 is not a number: 'zz'")],
+    )
+    def test_bad_vector_names_its_option(self, mazur_file, capsys, option, value, text):
+        assert run(self.args(mazur_file, **{option: value})) == 2
+        assert capsys.readouterr().err == f"nncat: error: {option}: {text}\n"
+
+    @pytest.mark.parametrize(
+        "option, value, text",
+        [("--input", "0.1,1,3", "network expects 2 inputs, got 3"),
+         ("--target", "0.1", "loss of dimension 1 vs network output 2")],
+    )
+    def test_shape_error_names_the_network_file(self, mazur_file, capsys, option, value, text):
+        assert run(self.args(mazur_file, **{option: value})) == 2
+        assert capsys.readouterr() == ("", f"nncat: error: {mazur_file}: {text}\n")
+
     def test_overflowing_finite_difference_is_error(self, capsys):
         argv = ["gradcheck", "--seed", "1", "--input", "1e10,1e10", "--target", "0.5",
                 "--eta", "0.1", "--eps", "1e300"]
@@ -307,6 +325,15 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert err.startswith("nncat: error: layer 0: ")
         assert "not finite" in err
+
+    def test_overflowing_finite_difference_names_the_network_file(self, mazur_file, capsys):
+        """With `--net` the file comes first; with `--seed`, above, there is none."""
+        argv = self.args(mazur_file, **{"--input": "1e10,1e10", "--eps": "1e300"})
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"nncat: error: {mazur_file}: layer 0: finite differences at --eps 1e+300: "
+            "activation input is not finite: inf\n"
+        )
 
     def test_values_may_start_with_minus(self, capsys):
         argv = ["gradcheck", "--seed", "42", "--input", "-0.2,0.4",
@@ -373,7 +400,8 @@ class TestGradcheck:
 def test_every_command_names_the_layer_that_overflows(tmp_path, capsys):
     """One file whose layer 0 overflows in the forward pass: `forward`,
     `train` and `gradcheck` run the same forward loop, so each names the
-    layer alike; `forward` also names its file and `train` the row."""
+    layer alike; `forward` and `gradcheck` also name their file and
+    `train` the row."""
     net = tmp_path / "ovf.json"
     write_network(net, Network.chain([make_layer(((1e308,),), (0.0,), TANH)]))
     data = tmp_path / "rows.csv"
@@ -385,7 +413,7 @@ def test_every_command_names_the_layer_that_overflows(tmp_path, capsys):
           "--out", str(tmp_path / "o.json"), "--trace", str(tmp_path / "t.csv")],
          f"epoch 1, row 1: {text}"),
         (["gradcheck", "--net", str(net), "--input", "2.0", "--target", "0", "--eta", "1"],
-         text),
+         f"{net}: {text}"),
     ]
     for argv, want in commands:
         assert run(argv) == 2

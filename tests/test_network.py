@@ -29,6 +29,9 @@ from helpers import (
     SECOND_WEIGHTS,
     TOL8,
     mazur_network,
+    numpy_under,
+    on_numpy,
+    rebuilt,
 )
 
 
@@ -309,14 +312,16 @@ def bits_or_error(run):
 def test_net_forward_is_the_sweeps_last_state(case):
     """One forward loop: `net_forward` and the sweep's forward half give
     the same bits, or name the same layer, under the real width rule and
-    with every layer forced pure; and the two rules agree."""
+    on a rebuilt copy with every layer pure; and the two rules agree."""
     net, x = case
     got = []
     for side in (network.WIDE_SIDE, 10**9):
+        copy = rebuilt(net)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(network, "WIDE_SIDE", side)
-            forward = bits_or_error(lambda: net_forward(net, x))
-            swept = bits_or_error(lambda: sweep(net, x, lambda y: (0.0,) * len(y))[0][-1])
+            forward = bits_or_error(lambda: net_forward(copy, x))
+            swept = bits_or_error(lambda: sweep(copy, x, lambda y: (0.0,) * len(y))[0][-1])
+            assert on_numpy(copy) == numpy_under(copy, side)
         assert forward == swept
         got.append(forward)
     assert got[0] == got[1]

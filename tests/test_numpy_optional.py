@@ -4,10 +4,11 @@
 Mazur net, or stepping, running forward, checking the validity equation
 of or checking the gradients of an 8-16-16-8 net: importing numpy costs
 a short run more time and memory than its whole step.  So the import
-happens inside the kernel choice, `network._loaded`, which the forward
-loop and the step share, and `network.WIDE_SIDE` keeps every layer of
-those nets, at most 16 x 17, on the pure kernels; none of their layers
-carries numpy weights into the next step.
+happens inside the kernel choice, `network.Layer._step_weights`, which
+each layer makes once, at its first use, for the forward loop and the
+step alike, and `network.WIDE_SIDE` keeps every layer of those nets, at
+most 16 x 17, on the pure kernels; none of their layers runs on numpy
+weights, stepped or not.
 Without numpy, a wide layer steps on the pure kernels too.  Neither
 test needs numpy installed.
 """
@@ -23,12 +24,14 @@ from nncat.loss import squared_error
 from nncat.network import Network
 from nncat.randnet import random_layer
 
+from helpers import on_numpy, rebuilt
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_NETS = """
 import random, sys
 import nncat
-from nncat import cli, demo, fileio
+from nncat import cli, demo, fileio, network
 from nncat.network import Network
 from nncat.randnet import random_layer
 
@@ -37,12 +40,12 @@ net, losses = nncat.train(
     demo.mazur_network(), [(demo.INPUT, demo.TARGET)] * 3, 0.5, nncat.SgdConfig(epochs=20)
 )
 assert "numpy" not in sys.modules, "train"
-assert all(layer._carried is None for layer in net.layers), "train carries"
+assert all(type(w) is tuple for w in network._loaded(net)), "train runs numpy weights"
 rng = random.Random(5)
 dims = (8, 16, 16, 8)
 net = Network.chain([random_layer(rng, n, k, mask_density=0.9) for n, k in zip(dims, dims[1:])])
 stepped, _ = nncat.backprop_step(net, (0.5,) * 8, nncat.squared_error((0.25,) * 8, 0.1))
-assert all(layer._carried is None for layer in stepped.layers), "backprop_step carries"
+assert all(type(w) is tuple for w in network._loaded(stepped)), "the step runs numpy weights"
 assert "numpy" not in sys.modules, "backprop_step"
 fileio.write_network(sys.argv[1], net)
 rc = cli.main([
@@ -76,7 +79,9 @@ def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     net = Network.chain([random_layer(rng, side, side, mask_density=0.5)])
     x, loss = (0.5,) * side, squared_error((0.25,) * side, 0.1)
     monkeypatch.setattr(network, "WIDE_SIDE", 10**9)
-    want, _ = backprop.backprop_step(net, x, loss)
+    pure = rebuilt(net)
+    want, _ = backprop.backprop_step(pure, x, loss)
+    assert on_numpy(pure) == [False]
 
     monkeypatch.setattr(network, "WIDE_SIDE", side)
     monkeypatch.setitem(sys.modules, "numpy", None)
@@ -86,4 +91,5 @@ def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     assert network._loaded(net) == [net.layers[0].transition.entries]
     assert network._vectorized is False
     got, _ = backprop.backprop_step(net, x, loss)
+    assert on_numpy(got) == [False]
     assert got == want

@@ -7,13 +7,14 @@ made with `object.__new__`.  A second `__new__` call would be a second
 place that decides which values are trusted, so the rule is checked on
 the source.
 
-What a layer carries, `Layer._carried`, has one writer and one reader.
-The rebuild is the one writer: it takes each layer's entries and the
-immutable weights it carries from one object, so they cannot disagree.
-`network._loaded`, which gives the forward loop and the step their
-weights, is the one reader: it reads them only for a layer that the
-width rule sends to numpy.  So the one writer and the one reader live
-in one module.  A write or a read anywhere else breaks the rule.
+What a layer carries, its step weights `Layer._step_weights`, has one
+writer and one reader.  The value chooses its kind once, at its first
+read, unless the rebuild seeded it.  The rebuild is the one writer: it
+takes each layer's entries and its step weights from one object, so
+they cannot disagree.  `network._loaded`, which gives the forward loop
+and the step their weights, is the one reader.  So the one writer and
+the one reader live in one module.  A write or a read anywhere else
+breaks the rule.
 """
 
 import ast
@@ -24,7 +25,7 @@ import nncat
 
 REBUILD = "network.py:Network._with_weights"
 LOADER = "network.py:_loaded"
-CARRIED = "_carried"
+STEP_WEIGHTS = "_step_weights"
 
 
 def _sites(tree: ast.AST, match: Callable[[ast.AST], bool]) -> list[tuple[str, int]]:
@@ -52,21 +53,21 @@ def _new_call(node: ast.AST) -> bool:
     )
 
 
-def _carried_access(load: bool) -> Callable[[ast.AST], bool]:
-    """A matcher of the reads of `_carried` (`x._carried` or a `getattr`
-    or `__getattribute__` call naming it) when `load`, else of its
-    writes (`x._carried = ...`, `del x._carried`, or a `setattr` or
-    `__setattr__` call naming it)."""
+def _step_weights_access(load: bool) -> Callable[[ast.AST], bool]:
+    """A matcher of the reads of `_step_weights` (`x._step_weights` or a
+    `getattr` or `__getattribute__` call naming it) when `load`, else of
+    its writes (`x._step_weights = ...`, `del x._step_weights`, or a
+    `setattr` or `__setattr__` call naming it)."""
     calls = ("getattr", "__getattribute__") if load else ("setattr", "__setattr__")
 
     def match(node: ast.AST) -> bool:
         if isinstance(node, ast.Attribute):
-            return node.attr == CARRIED and isinstance(node.ctx, ast.Load) == load
+            return node.attr == STEP_WEIGHTS and isinstance(node.ctx, ast.Load) == load
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             return name in calls and any(
-                isinstance(arg, ast.Constant) and arg.value == CARRIED for arg in node.args
+                isinstance(arg, ast.Constant) and arg.value == STEP_WEIGHTS for arg in node.args
             )
         return False
 
@@ -94,8 +95,8 @@ def test_one_unchecked_rebuild():
 
 
 def test_one_place_sets_what_a_layer_carries():
-    _check(_carried_access(load=False), f"a write of {CARRIED}", REBUILD)
+    _check(_step_weights_access(load=False), f"a write of {STEP_WEIGHTS}", REBUILD)
 
 
 def test_one_place_reads_what_a_layer_carries():
-    _check(_carried_access(load=True), f"a read of {CARRIED}", LOADER)
+    _check(_step_weights_access(load=True), f"a read of {STEP_WEIGHTS}", LOADER)

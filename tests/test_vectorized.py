@@ -8,20 +8,25 @@ every other layer runs on the pure kernels, the reference:
 as IEEE 754 bits: the updated weights and the step's states, erosions
 and signals, or the same `DomainError` text, naming the same layer.
 The tests reach each path by setting `WIDE_SIDE`: 0 sends every layer
-to numpy, a size above every layer's keeps them all pure.  Every numpy
-kernel runs with warnings as errors, so an overflow that numpy reported
-as a `RuntimeWarning` would fail.
+to numpy, a size above every layer's keeps them all pure.  A layer
+chooses its kind once, at its first use, so each side runs on layers
+built for it (`helpers.rebuilt`), and each comparison asserts which
+kind every layer ran, so no comparison can set numpy against numpy.
+Every numpy kernel runs with warnings as errors, so an overflow that
+numpy reported as a `RuntimeWarning` would fail.
 
 Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
 every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
 weights near 1e154 and a rate of 1e300.
 
-A layer that a numpy step rebuilt carries its `ArrayWeights` into the
-next step on it.  Chains of steps on the carried weights must equal
-chains of pure steps, bit for bit.  The weights are values: every array
-is read-only from construction, a step never changes weights that a
-layer carries, and the width rule picks the pure kernels whatever a
-layer carries.  `net_forward` takes the weights a layer carries too.
+A wide layer loads its `ArrayWeights` once, at its first use, and a
+layer that a step rebuilt starts from the weights that step made, of
+the kind it ran; it keeps that kind whatever `WIDE_SIDE` says later.
+Chains of steps on those weights must equal chains of pure steps, bit
+for bit, and repeated forward passes on a parsed wide net load each
+layer once.  The weights are values: every array is read-only from
+construction and a step never changes weights that a layer holds.
+`net_forward` runs the weights a layer holds too.
 """
 
 import random
@@ -40,11 +45,12 @@ from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
 from nncat.algebra import DomainError, Mat, _affine  # noqa: E402
 from nncat.backward import _pushback_entries  # noqa: E402
 from nncat.fileio import parse_network, serialize_network  # noqa: E402
-from nncat.loss import squared_error, validity  # noqa: E402
-from nncat.network import Layer, Network, make_layer, net_forward  # noqa: E402
+from nncat.loss import squared_error, transform_loss, validity  # noqa: E402
+from nncat.loss import validity_equation_check  # noqa: E402
+from nncat.network import Layer, Network, compose, make_layer, net_forward  # noqa: E402
 from nncat.randnet import random_layer, random_state  # noqa: E402
 
-from helpers import law_sides, random_loss  # noqa: E402
+from helpers import law_sides, numpy_under, on_numpy, random_loss, rebuilt  # noqa: E402
 
 ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 ALL_NUMPY = 0
@@ -86,15 +92,20 @@ def assert_read_only(weights):
 
 
 def step(net, a, loss, side):
-    """`backprop_step` with `WIDE_SIDE` set to `side`: `step_bits`, or
-    the error text."""
+    """`backprop_step` on a rebuilt copy of `net` with `WIDE_SIDE` set
+    to `side`: `step_bits`, or the error text.  Asserts that each layer
+    ran the kind of kernel that `side` sends it to."""
+    net = rebuilt(net)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "WIDE_SIDE", side)
         try:
             stepped, trace = backprop.backprop_step(net, a, loss)
         except DomainError as exc:
-            return str(exc)
-    return step_bits(stepped, trace)
+            got = str(exc)
+        else:
+            got = step_bits(stepped, trace)
+        assert on_numpy(net) == numpy_under(net, side)
+    return got
 
 
 @st.composite
@@ -211,13 +222,13 @@ def test_widths_on_both_sides_of_the_constant(density):
     chained steps equal three pure steps."""
     rng = random.Random(7)
     net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), density)
-    chosen = [isinstance(w, ArrayWeights) for w in network._loaded(net)]
-    assert chosen == [True, False, True]
+    assert on_numpy(net) == [True, False, True]
     for _ in range(3):
         a, target = random_state(rng, WIDE, 1.0), random_state(rng, WIDE, 0.9)
         loss = squared_error(target, 0.1)
         assert step(net, a, loss, WIDE) == step(net, a, loss, ALL_PURE)
         net, _ = backprop.backprop_step(net, a, loss)
+        assert on_numpy(net) == [True, False, True]
 
 
 def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
@@ -226,16 +237,17 @@ def test_train_on_a_wide_net_equals_a_fold_of_pure_steps(monkeypatch):
     dataset = [
         (random_state(rng, WIDE + 3, 1.0), random_state(rng, WIDE + 2, 0.9)) for _ in range(3)
     ]
-    assert all(isinstance(w, ArrayWeights) for w in network._loaded(net))
+    assert on_numpy(net) == [True, True]
     trained, losses = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
 
     monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
-    folded, want = net, []
+    folded, want = rebuilt(net), []
     for _ in range(2):
         for x, t in dataset:
             loss = squared_error(t, 0.25)
             want.append(validity(net_forward(folded, x), loss))
             folded, _ = backprop.backprop_step(folded, x, loss)
+    assert on_numpy(folded) == [False, False]
     assert bits(losses) == bits(want)
     for got, ref in zip(trained.layers, folded.layers, strict=True):
         assert bits(got.transition.entries) == bits(ref.transition.entries)
@@ -263,20 +275,37 @@ def mixed_splits(draw):
     return first, second, random_state(rng, first.in_dim, 1.0), random_loss(rng, second.out_dim)
 
 
+def pullback_sides(first, second, a, loss):
+    """Both sides of the pullback's functor law at `a`, the value and
+    the erosion as bits: `transform_loss` through `compose(first,
+    second)`, and through `first` after `second`."""
+    composite = transform_loss(compose(first, second), loss)
+    nested = transform_loss(first, transform_loss(second, loss))
+    return tuple((bits((p.evaluate(a),)), bits(p.erosion(a))) for p in (composite, nested))
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mixed_splits())
 def test_compositionality_is_bitwise_across_kernel_kinds(case):
     """Under the real width rule the steps, `transform_loss` and
     `net_forward` run the wide layers on numpy and the rest pure, so
-    the law holds on networks that mix both kinds.  With every layer
-    forced pure, the composite of the steps has the same bits, so the
-    law also holds one kernel kind to the other's bits."""
+    both laws, the step's and the pullback's, hold on networks that mix
+    both kinds.  Rebuilt with every layer pure, the composite of the
+    steps and both pullbacks have the same bits, so each law also holds
+    one kernel kind to the other's bits."""
+    first, second, a, loss = case
     whole, split = law_sides(*case)
     assert whole == split
     assert backprop.functoriality_check(*case, tol=0.0)
+    composite, nested = pullback_sides(*case)
+    assert composite == nested
+    assert on_numpy(first) + on_numpy(second) == numpy_under(compose(first, second), WIDE)
+    pure = rebuilt(first), rebuilt(second), a, loss
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "WIDE_SIDE", ALL_PURE)
-        assert law_sides(*case)[1] == whole
+        assert law_sides(*pure)[1] == whole
+        assert pullback_sides(*pure) == (composite, composite)
+        assert not any(on_numpy(pure[0]) + on_numpy(pure[1]))
 
 
 def uniform_net(scales):
@@ -308,13 +337,14 @@ def test_an_overflowing_wide_step_raises_the_pure_text(scales, rate, layer):
 
 def test_a_diverging_wide_train_raises_the_pure_text(monkeypatch):
     """The second step overflows: its epoch, row and layer are named."""
-    net = uniform_net((1e-200, 1e200))
     dataset = [((0.0,) * WIDE, (0.0,) * WIDE), ((1.0,) * WIDE, (0.0,) * WIDE)]
     texts = []
     for side in (WIDE, ALL_PURE):
+        net = uniform_net((1e-200, 1e200))
         monkeypatch.setattr(network, "WIDE_SIDE", side)
         with pytest.raises(DomainError) as caught:
             backprop.train(net, dataset, 1e200, backprop.SgdConfig(epochs=1))
+        assert on_numpy(net) == [side == WIDE] * 2
         texts.append(str(caught.value))
     assert texts[0] == texts[1] == "epoch 1, row 2: matrix entry is not finite: inf (layer 0)"
 
@@ -341,24 +371,24 @@ def test_a_forward_pass_that_leaves_the_floats_raises_the_pure_text():
     assert got == step(net, (2.0,) * WIDE, loss, ALL_PURE)
 
 
-# A layer rebuilt by a numpy step carries its `ArrayWeights`,
-# `Layer._carried`, into the next step on it.
+# A wide layer loads its `ArrayWeights` at its first use, and a layer
+# rebuilt by a step starts from the weights that step made.
 
 
-def carries(net):
-    """Which layers carry weights, and are the carried weights read-only
-    and equal, as bits, to their layer's entries?"""
-    for layer in net.layers:
-        if layer._carried is not None:
-            assert_read_only(layer._carried)
-            assert bits(layer._carried.entries()) == bits(layer.transition.entries)
-    return [layer._carried is not None for layer in net.layers]
+def held(net):
+    """Which layers of `net` run on numpy; each one's weights are
+    read-only and equal, as bits, to its layer's entries."""
+    for layer, w in zip(net.layers, network._loaded(net)):
+        if type(w) is not tuple:
+            assert_read_only(w)
+            assert bits(w.entries()) == bits(layer.transition.entries)
+    return on_numpy(net)
 
 
 def counted_loads(monkeypatch):
     """A list that grows by the layer each time `ArrayWeights.of` loads
-    a layer's entries into an array.  A step that takes the weights a
-    layer carries does not call it."""
+    a layer's entries into an array: once per wide layer, at its first
+    use, and never for a layer whose step weights a step seeded."""
     loads = []
     of = ArrayWeights.of.__func__
 
@@ -372,9 +402,9 @@ def counted_loads(monkeypatch):
 
 def chained(net, cases, side):
     """`step_bits` of each `backprop_step` in a chain over `cases`, each
-    step on the network the one before returned, with `WIDE_SIDE` set to
-    `side`, and the last network."""
-    got = []
+    step on the network the one before returned, from a rebuilt copy of
+    `net`, with `WIDE_SIDE` set to `side`, and the last network."""
+    got, net = [], rebuilt(net)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "WIDE_SIDE", side)
         for a, loss in cases:
@@ -388,7 +418,7 @@ def chained(net, cases, side):
 )
 def test_a_chain_of_carried_steps_equals_the_pure_chain(monkeypatch, side, carried):
     """16 chained steps: only the first loads a numpy layer's entries,
-    the other 15 start from the weights that the step before carried."""
+    the other 15 start from the weights that the step before made."""
     rng = random.Random(23)
     net = wide_net(rng, (WIDE, WIDE, WIDE - 1, WIDE), 0.9)
     cases = [
@@ -398,84 +428,102 @@ def test_a_chain_of_carried_steps_equals_the_pure_chain(monkeypatch, side, carri
     loads = counted_loads(monkeypatch)
     got, last = chained(net, cases, side)
     assert len(loads) == carried.count(True)
-    assert carries(last) == carried
+    assert held(last) == carried
     want, pure = chained(net, cases, ALL_PURE)
+    assert len(loads) == carried.count(True)
     assert got == want
-    assert carries(pure) == [False] * 3
+    assert held(pure) == [False] * 3
 
 
-def test_stepping_a_stepped_network_twice_gives_equal_bits():
-    """A step leaves the weights that its network's layers carry as they
-    were, the same objects with the same bits, and its new layers carry
-    new ones.  The carried weights are not part of the network's value:
-    its parsed copy is equal to it and carries nothing."""
+def test_stepping_a_stepped_network_twice_gives_equal_bits(monkeypatch):
+    """A step leaves the weights that its network's layers hold as they
+    were, the same objects with the same bits, and its new layers hold
+    new ones.  The step weights are not part of the network's value:
+    its parsed copy is equal to it and loads its own at its first use."""
     rng = random.Random(29)
     net = wide_net(rng, (WIDE + 2, WIDE, WIDE + 1), 0.5)
     a, target = random_state(rng, WIDE + 2, 1.0), random_state(rng, WIDE + 1, 0.9)
     loss = squared_error(target, 0.1)
     stepped, _ = backprop.backprop_step(net, a, loss)
-    assert carries(stepped) == [True, True]
-    held = [(layer._carried, bits(layer._carried.entries())) for layer in stepped.layers]
+    assert held(stepped) == [True, True]
+    weights = network._loaded(stepped)
+    was = [bits(w.entries()) for w in weights]
     again, trace = backprop.backprop_step(stepped, a, loss)
-    assert carries(again) == [True, True]
-    for layer, new, (weights, was) in zip(stepped.layers, again.layers, held, strict=True):
-        assert layer._carried is weights
-        assert bits(weights.entries()) == was
-        assert new._carried is not weights
+    assert held(again) == [True, True]
+    now, new = network._loaded(stepped), network._loaded(again)
+    for old, kept, made, entries in zip(weights, now, new, was, strict=True):
+        assert kept is old
+        assert bits(old.entries()) == entries
+        assert made is not old
     first = step_bits(again, trace)
     assert first == step_bits(*backprop.backprop_step(stepped, a, loss))
     parsed = parse_network(serialize_network(stepped))
     assert stepped == parsed
-    assert carries(parsed) == [False, False]
+    loads = counted_loads(monkeypatch)
+    assert held(parsed) == [True, True]
+    assert len(loads) == 2
     assert first == step(parsed, a, loss, ALL_PURE)
 
 
 @pytest.mark.parametrize("scales, rate, layer", OVERFLOWS)
 def test_an_overflowing_step_leaves_the_carried_arrays_as_they_were(scales, rate, layer):
-    """A step at rate 0 leaves the weights as they were and makes the
-    network carry them; an overflowing step from it raises and changes
-    no carried array, and a good step from it equals the step from a
-    freshly parsed copy."""
+    """A step at rate 0 leaves the weights as they were and seeds the
+    network's layers with new arrays; an overflowing step from it
+    raises and changes no array the layers hold, and a good step from
+    it equals the step from a freshly parsed copy."""
     a, zeros = (1.0,) * WIDE, (0.0,) * WIDE
     net, _ = backprop.backprop_step(uniform_net(scales), a, squared_error(zeros, 0.0))
-    assert carries(net) == [True, True]
-    got = step(net, a, squared_error(zeros, rate), WIDE)
-    assert got == f"matrix entry is not finite: inf (layer {layer})"
-    assert carries(net) == [True, True]
+    assert held(net) == [True, True]
+    weights = network._loaded(net)
+    was = [bits(w.entries()) for w in weights]
+    with pytest.raises(DomainError) as caught:
+        backprop.backprop_step(net, a, squared_error(zeros, rate))
+    assert str(caught.value) == f"matrix entry is not finite: inf (layer {layer})"
+    assert all(w is old for w, old in zip(network._loaded(net), weights, strict=True))
+    assert [bits(w.entries()) for w in weights] == was
     fresh = parse_network(serialize_network(net))
     good = squared_error((0.5,) * WIDE, 1e-12)
     want = step(fresh, a, good, ALL_PURE)
     assert isinstance(want, tuple)
-    assert step(net, a, good, WIDE) == step(fresh, a, good, WIDE) == want
+    assert step_bits(*backprop.backprop_step(net, a, good)) == step(fresh, a, good, WIDE) == want
 
 
-def test_the_width_rule_decides_whatever_a_layer_carries(monkeypatch):
-    """A network stepped with every layer on numpy carries weights for
-    its narrow layers too; the width rule sends them back to the pure
-    kernels, which carry nothing."""
+@pytest.mark.parametrize(
+    "first, later", [(ALL_NUMPY, ALL_PURE), (ALL_PURE, WIDE), (WIDE, ALL_PURE)]
+)
+def test_a_layer_keeps_the_kind_of_its_first_use(monkeypatch, first, later):
+    """A layer's kind of kernel is fixed at its first use, under the
+    `WIDE_SIDE` of that moment, or by the step that built it: a stepped
+    layer keeps the kind of the weights its step ran, whatever
+    `WIDE_SIDE` says later, with the pure bits either way."""
     rng = random.Random(31)
-    net = wide_net(rng, (3, WIDE, 4), 1.0)
+    net = wide_net(rng, (3, WIDE, WIDE, 4), 1.0)
     a, loss = random_state(rng, 3, 1.0), squared_error(random_state(rng, 4, 0.9), 0.1)
-    stepped = chained(net, [(a, loss)], ALL_NUMPY)[1]
-    assert carries(stepped) == [True, True]
-    fresh = parse_network(serialize_network(stepped))
-    for side in (ALL_PURE, WIDE):
-        monkeypatch.setattr(network, "WIDE_SIDE", side)
-        assert network._loaded(stepped) == [layer.transition.entries for layer in stepped.layers]
-        again, trace = backprop.backprop_step(stepped, a, loss)
-        assert carries(again) == [False, False]
-        assert step_bits(again, trace) == step(fresh, a, loss, ALL_PURE)
+    want = chained(net, [(a, loss)] * 2, ALL_PURE)[0]
+    monkeypatch.setattr(network, "WIDE_SIDE", first)
+    kinds = held(net)
+    assert kinds == numpy_under(net, first)
+    monkeypatch.setattr(network, "WIDE_SIDE", later)
+    assert kinds != numpy_under(net, later)
+    assert held(net) == kinds
+    got = []
+    for _ in range(2):
+        net, trace = backprop.backprop_step(net, a, loss)
+        assert held(net) == kinds
+        got.append(step_bits(net, trace))
+    assert got == want
 
 
 def test_net_forward_runs_the_weights_a_layer_carries(monkeypatch):
-    """`net_forward` follows the width rule: on a network whose wide
-    layers carry weights it loads no entries and runs each wide layer's
-    affine map on numpy, once, with the pure forward pass's bits."""
+    """`net_forward` runs the weights a layer holds: on a network whose
+    wide layers a step seeded it loads no entries and runs each wide
+    layer's affine map on numpy, once, with the pure forward pass's
+    bits."""
     rng = random.Random(43)
     net = wide_net(rng, (WIDE, WIDE + 1, WIDE, 3), 0.9)
     x = random_state(rng, WIDE, 1.0)
     stepped, _ = backprop.backprop_step(net, x, squared_error(random_state(rng, 3, 0.9), 0.1))
-    assert carries(stepped) == [True, True, False]
+    assert held(stepped) == [True, True, False]
     loads, affines = counted_loads(monkeypatch), []
     affine = ArrayWeights.affine
 
@@ -486,9 +534,9 @@ def test_net_forward_runs_the_weights_a_layer_carries(monkeypatch):
     monkeypatch.setattr(ArrayWeights, "affine", counted)
     got = net_forward(stepped, x)
     assert loads == []
-    assert affines == [layer._carried for layer in stepped.layers[:2]]
+    assert affines == network._loaded(stepped)[:2]
     monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
-    assert bits(got) == bits(net_forward(stepped, x))
+    assert bits(got) == bits(net_forward(rebuilt(stepped), x))
     assert len(affines) == 2
 
 
@@ -502,14 +550,35 @@ def test_train_hands_its_arrays_to_the_network_it_returns(monkeypatch):
     loads = counted_loads(monkeypatch)
     trained, _ = backprop.train(net, dataset, 0.25, backprop.SgdConfig(epochs=2))
     assert len(loads) == 2
-    assert carries(trained) == [True, True]
+    assert held(trained) == [True, True]
     again, losses = backprop.train(trained, dataset, 0.25, backprop.SgdConfig(epochs=1))
     assert len(loads) == 2
     monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
-    want, pure = backprop.train(
-        parse_network(serialize_network(trained)), dataset, 0.25, backprop.SgdConfig(epochs=1)
-    )
+    parsed = parse_network(serialize_network(trained))
+    want, pure = backprop.train(parsed, dataset, 0.25, backprop.SgdConfig(epochs=1))
+    assert on_numpy(parsed) == [False, False]
     assert bits(losses) == bits(pure)
     assert [bits(layer.transition.entries) for layer in again.layers] == [
         bits(layer.transition.entries) for layer in want.layers
     ]
+
+
+def test_a_parsed_wide_net_loads_each_layer_once(monkeypatch):
+    """Forward passes and validity checks on a parsed wide net: the
+    first use loads each wide layer's array, the later ones run it
+    without loading, and every result has the pure bits."""
+    rng = random.Random(47)
+    parsed = parse_network(serialize_network(wide_net(rng, (WIDE + 1, WIDE, WIDE + 2, 2), 0.9)))
+    xs = [random_state(rng, WIDE + 1, 1.0) for _ in range(3)]
+    loss = squared_error(random_state(rng, 2, 0.9), 0.1)
+    loads = counted_loads(monkeypatch)
+    got = [bits(net_forward(parsed, x)) for x in xs]
+    got += [bits(validity_equation_check(parsed, x, loss)) for x in xs]
+    assert held(parsed) == [True, True, False]
+    assert loads == list(parsed.layers[:2])
+    monkeypatch.setattr(network, "WIDE_SIDE", ALL_PURE)
+    pure = rebuilt(parsed)
+    want = [bits(net_forward(pure, x)) for x in xs]
+    want += [bits(validity_equation_check(pure, x, loss)) for x in xs]
+    assert on_numpy(pure) == [False] * 3
+    assert got == want

@@ -1,14 +1,16 @@
-"""A wide layer's step weights as a numpy array, with numpy twins of the
-step's three O(rows * cols) kernels, bit for bit.
+"""A wide layer's step weights as a numpy array: the numpy
+implementation of the step-weights interface, bit for bit.
 
 A layer's step costs O(rows * cols) in three places: the affine map of
 the forward loop, the pushback of the backward sweep and the masked
 rank-one update.  Everything else costs O(rows + cols) and stays shared
-with the pure path.  These kernels compute the same values as the pure
-ones (`algebra._affine`, `backward._pushback_entries`,
-`backprop._updated_entries`) in the same order.  IEEE 754 rounds each
-elementwise `+`, `-` and `*` correctly, so the same operations on the
-same operands in the same order give the same bits:
+with the pure path.  The step weights do those three through one
+interface, `entries()`, `affine`, `pushback` and `update`, which
+`algebra.EntryWeights` implements on the entry tuple.  `ArrayWeights`
+implements it on numpy and computes the same values as `EntryWeights`
+in the same order.  IEEE 754 rounds each elementwise `+`, `-` and `*`
+correctly, so the same operations on the same operands in the same
+order give the same bits:
 
 - the affine map forms every product w[j, i] * x[i] at once, then adds
   column i to a running sum from zeros, for ascending i, then the bias;
@@ -37,10 +39,11 @@ from .network import Layer
 
 
 class ArrayWeights:
-    """One layer's step weights, a value: its entries as a rows x cols
-    float64 array and its frozen positions (`Layer.mutable` off) as a
-    boolean array of the same shape, both read-only from construction.
-    The kernels read them; `update` returns new weights and writes only
+    """One layer's step weights on the numpy kernels, a value with the
+    methods of `EntryWeights`: its entries as a rows x cols float64
+    array and its frozen positions (`Layer.mutable` off) as a boolean
+    array of the same shape, both read-only from construction.  The
+    kernels read them; `update` returns new weights and writes only
     the array it allocates, so no step changes weights that a layer
     holds."""
 

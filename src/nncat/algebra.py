@@ -4,6 +4,13 @@ Exactly the handful of operations the engine needs, in plain 64-bit
 floats.  Sums run left to right over ascending indices so repeated runs
 produce identical bits; there is no blocking, no parallel reduction, and
 no hidden library dispatch.
+
+A layer's step weights have one interface, four methods: `entries()`,
+`affine(x)`, `pushback(s)` and `update(s, inp)`, the layer's only
+O(rows * cols) work.  `EntryWeights` here implements it on the entry
+tuple; `_vectorized.ArrayWeights` implements it on a numpy array with
+the same bits.  The forward loop, the sweep and the step call the four
+methods and never ask which implementation they hold.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ class Mat:
         return self.entries[j * self.cols + i]
 
     def row(self, j: int) -> Vec:
+        if not 0 <= j < self.rows:
+            raise ShapeError(f"row {j} outside {self.rows}x{self.cols}")
         return self.entries[j * self.cols : (j + 1) * self.cols]
 
     def to_rows(self) -> tuple[Vec, ...]:
@@ -112,6 +121,54 @@ def _affine(entries: Sequence[float], x: Vec) -> Vec:
             acc += w * xi
         out.append(acc + row[-1])
     return tuple(out)
+
+
+class EntryWeights:
+    """One layer's step weights on the pure kernels, a value: its
+    row-major entry tuple, its `cols` and its `Layer.mutable` flags.
+    `update` returns new weights that share `cols` and the flags, so no
+    step changes weights that a layer holds."""
+
+    __slots__ = ("_entries", "cols", "mutable")
+
+    def __init__(self, entries: Vec, cols: int, mutable: Sequence[bool]) -> None:
+        self._entries = entries
+        self.cols = cols
+        self.mutable = mutable
+
+    def entries(self) -> Vec:
+        """The row-major entry tuple."""
+        return self._entries
+
+    def affine(self, x: Vec) -> Vec:
+        return _affine(self._entries, x)
+
+    def pushback(self, s: Vec) -> Vec:
+        """The input erosion: e_in[i] sums s_j * t[j, i] over ascending j
+        from 0.0, the order of `vec_mat`, reading column i in place as a
+        strided slice; the bias column does not reach the input."""
+        entries, cols = self._entries, self.cols
+        e_in = []
+        for i in range(cols - 1):
+            acc = 0.0
+            for sj, w in zip(s, entries[i::cols]):
+                acc += sj * w
+            e_in.append(acc)
+        return tuple(e_in)
+
+    def update(self, s: Vec, inp: Vec) -> "EntryWeights":
+        """Each entry that `mutable` flags becomes w - s_j * inp_i, each
+        other one stays w.  The first new entry that is not finite raises
+        the error the updated matrix would have raised."""
+        entries, cols, mutable = self._entries, self.cols, self.mutable
+        new = [
+            w - sj * ai if f else w
+            for sj, k in zip(s, range(0, len(entries), cols))
+            for w, ai, f in zip(entries[k : k + cols], inp, mutable[k : k + cols])
+        ]
+        if not all(map(math.isfinite, new)):
+            _require_finite(new, "matrix entry")
+        return EntryWeights(tuple(new), cols, mutable)
 
 
 def hadamard(u: Vec, v: Vec) -> Vec:

@@ -17,15 +17,17 @@ network equals concatenating the steps of its parts against the
 appropriately pulled-back losses.
 
 The step works on each layer's weights as one value, the layer's
-`_step_weights`: its flat, row-major entry tuple or, for a layer with at
-least `network.WIDE_SIDE` rows and columns when numpy can be imported,
-its `_vectorized.ArrayWeights`, a read-only array whose methods are
-numpy twins, with the same bits, of the layer's only O(rows * cols)
-work: the affine map, the pushback and the masked update.  `_step` shares the
-rest: it sweeps against the weights and replaces each, from the last
-layer to the first, with its updated weights, checking once that every
-product and every new entry is finite.  An update returns new weights
-and never writes the ones it read, so nothing is copied.
+`_step_weights`, through one interface for the layer's only
+O(rows * cols) work: the affine map, the pushback and the masked
+update.  It has two implementations with the same bits:
+`algebra.EntryWeights` on the flat, row-major entry tuple and, for a
+layer with at least `network.WIDE_SIDE` rows and columns when numpy can
+be imported, `_vectorized.ArrayWeights` on a read-only array.  `_step`
+never asks which one a layer holds: it sweeps against the weights and
+replaces each, from the last layer to the first, with its `update`,
+checking once that every product and every new entry is finite.  An
+update returns new weights and never writes the ones it read, so
+nothing is copied.
 `backprop_step` hands the list of new weights, as it is, to
 `Network._with_weights`, the one rebuild that reuses the shapes, masks
 and bias flags already checked and does not scan the entries again.  It
@@ -51,7 +53,7 @@ from typing import Any, Sequence
 from .algebra import DomainError, ShapeError, Vec, _require_finite, outer
 from .backward import ErosionFn, Gradient, sweep
 from .loss import LossPredicate, squared_error, transform_loss, validity
-from .network import Layer, Network, _loaded, compose, net_forward
+from .network import Network, _loaded, compose, net_forward
 
 
 @dataclass(frozen=True)
@@ -94,28 +96,11 @@ def _products_finite(s: Vec, inp: Vec) -> bool:
     )
 
 
-def _updated_entries(layer: Layer, entries: Vec, s: Vec, inp: Vec) -> Vec:
-    """The pure update of the layer's row-major `entries`: each entry
-    that `layer.mutable` flags becomes w - s_j * inp_i, each other one
-    stays w.  The first new entry that is not finite raises the error
-    the updated matrix would have raised."""
-    cols, mutable = len(inp), layer.mutable
-    new = [
-        w - sj * ai if f else w
-        for sj, k in zip(s, range(0, len(entries), cols))
-        for w, ai, f in zip(entries[k : k + cols], inp, mutable[k : k + cols])
-    ]
-    if not all(map(math.isfinite, new)):
-        _require_finite(new, "matrix entry")
-    return tuple(new)
-
-
 def _step(
     net: Network, weights: list[Any], a: Vec, erosion: ErosionFn
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-    """One step of `net` with layer i's weights `weights[i]`, its
-    row-major entry tuple or its `ArrayWeights`; each list item is
-    replaced with the updated weights.  Returns the sweep's states,
+    """One step of `net` with layer i's step weights `weights[i]`; each
+    list item is replaced with its `update`.  Returns the sweep's states,
     erosions and signals.
 
     One sweep gives every layer's error signal against the weights
@@ -130,15 +115,12 @@ def _step(
     """
     states, erosions, signals = sweep(net, a, erosion, weights)
     for idx in range(len(weights) - 1, -1, -1):
-        s, inp, w = signals[idx], states[idx] + (1.0,), weights[idx]
+        s, inp = signals[idx], states[idx] + (1.0,)
         try:
             if not _products_finite(s, inp):
                 # raises unless there are no products
                 _require_finite([sj * ai for sj in s for ai in inp], "matrix entry")
-            if type(w) is tuple:
-                weights[idx] = _updated_entries(net.layers[idx], w, s, inp)
-            else:
-                weights[idx] = w.update(s, inp)
+            weights[idx] = weights[idx].update(s, inp)
         except DomainError as exc:
             raise DomainError(f"{exc} (layer {idx})") from exc
     return states, erosions, signals

@@ -27,16 +27,15 @@ is `outer` over it, and `erosion_transform_net` keeps the erosion at
 the input.  The sweep checks the output erosion's length once, for
 every caller, so the backward pass maps the activation's derivative
 unchecked.  Each sum starts at 0.0 and runs over ascending indices, the
-order of `vec_mat`; the affine and pushback loops exist once, on entry
-tuples (`_affine`, `_pushback_entries`), and `kleisli_apply` is the
-affine loop's shape-checked wrapper, so the sweep agrees with it bit
-for bit.
+order of `vec_mat`.
 
-Those two loops and the step's masked update are a layer's only
-O(rows * cols) work.  A wide layer's weights may be
-`_vectorized.ArrayWeights`, a read-only array with their numpy twins,
-which give the same bits; the forward loop and the sweep run them in
-place of the two loops for that layer and share everything else.
+The affine map, the pushback and the step's masked update are a layer's
+only O(rows * cols) work, and a layer's step weights do all three
+through one interface with two implementations: `algebra.EntryWeights`
+on the entry tuple, whose affine map is `kleisli_apply`'s loop, and a
+wide layer's `_vectorized.ArrayWeights`, numpy twins with the same
+bits.  The forward loop and the sweep call the interface and share
+everything else, whichever implementation a layer holds.
 
 `masked_update` subtracts a gradient only at mutable positions; frozen
 entries are returned untouched, bit for bit, so arithmetic cannot
@@ -47,10 +46,11 @@ layer through the public constructors, which check it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .algebra import Mat, ShapeError, Vec, hadamard, kleisli_apply, outer
+from .algebra import DomainError, Mat, ShapeError, Vec, _require_finite, hadamard, kleisli_apply, outer
 from .activation import act_deriv_map
 from .network import Layer, Network, _forward, _loaded
 
@@ -85,23 +85,6 @@ def _error_signal(layer: Layer, z: Vec, y: Vec, e_out: Vec) -> Vec:
     return tuple([e * d for e, d in zip(e_out, map(layer.activation.deriv, z))])
 
 
-def _pushback_entries(entries: Sequence[float], cols: int, s: Vec) -> Vec:
-    """The input erosion: `s` times the weight columns of the row-major
-    `entries` with `cols` columns, unchecked.
-
-    e_in[i] sums s_j * t[j, i] over ascending j from 0.0, the order of
-    `vec_mat`, reading column i in place as a strided slice; the bias
-    column does not reach the input.
-    """
-    e_in = []
-    for i in range(cols - 1):
-        acc = 0.0
-        for sj, w in zip(s, entries[i::cols]):
-            acc += sj * w
-        e_in.append(acc)
-    return tuple(e_in)
-
-
 def sweep(
     net: Network,
     a: Vec,
@@ -110,10 +93,10 @@ def sweep(
 ) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """The forward and backward sweep of `net` at input `a`.
 
-    `erosion` is the output loss's erosion.  Layer i's weights are
-    `weights[i]`, which the caller guarantees hold the layer's shape:
-    its row-major entry tuple or its `ArrayWeights`; by default, those
-    that `_loaded` reads off each layer, as for `net_forward`.
+    `erosion` is the output loss's erosion.  Layer i's step weights are
+    `weights[i]`, which the caller guarantees hold the layer's shape; by
+    default, those that `_loaded` reads off each layer, as for
+    `net_forward`.
     Returns the states a_0..a_m, the erosions e_0..e_m (e_m at the
     output, e_0 at the input) and the error signals s_1..s_m, one per
     layer, all against those weights.  Layer i's gradient is
@@ -134,9 +117,8 @@ def sweep(
     erosions = [e]
     signals = []
     for idx in range(len(layers) - 1, -1, -1):
-        layer, w = layers[idx], weights[idx]
-        s = _error_signal(layer, pre_activations[idx], states[idx + 1], e)
-        e = _pushback_entries(w, len(states[idx]) + 1, s) if type(w) is tuple else w.pushback(s)
+        s = _error_signal(layers[idx], pre_activations[idx], states[idx + 1], e)
+        e = weights[idx].pushback(s)
         signals.append(s)
         erosions.append(e)
     return tuple(states), tuple(reversed(erosions)), tuple(reversed(signals))
@@ -172,9 +154,20 @@ def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:
 
     The erosion at the input of the backward sweep; the empty network
     applies the erosion directly.  Forward states are recomputed from x,
-    so the result is a pure function of (net, x).
+    so the result is a pure function of (net, x).  An input erosion that
+    is not finite raises `DomainError` naming the layer, counted from 0,
+    whose pushback first left the floats.
     """
-    return sweep(net, x, erosion)[1][0]
+    erosions = sweep(net, x, erosion)[1]
+    if net.layers and not all(map(math.isfinite, erosions[0])):
+        # the sweep runs last layer first, and an erosion that left the
+        # floats stays out of them down to the input
+        idx = max(i for i, e in enumerate(erosions[:-1]) if not all(map(math.isfinite, e)))
+        try:
+            _require_finite(erosions[idx], "erosion")
+        except DomainError as exc:
+            raise DomainError(f"{exc} (layer {idx})") from exc
+    return erosions[0]
 
 
 def masked_update(layer: Layer, g: Gradient) -> Layer:

@@ -11,15 +11,17 @@ entries a gradient update may touch.  A masked-off entry with a nonzero
 weight is a frozen connection, a masked-off zero entry is no connection.
 
 The forward loop, `_forward`, exists once.  It runs each layer's affine
-map on the step's weights for that layer, a row-major entry tuple or a
-wide layer's `_vectorized.ArrayWeights`, then its activation, and keeps
+map on the step's weights for that layer, through the one step-weights
+interface (`algebra.EntryWeights` on the pure kernels, a wide layer's
+`_vectorized.ArrayWeights` on numpy), then its activation, and keeps
 every state and pre-activation.  `net_forward` is its last state, and
 the backward sweep (`backward.sweep`) runs it before its backward half,
 so the two agree bit for bit and name the layer of an overflow alike.
 Both take each layer's weights from `_loaded`, the one reader of
 `Layer._step_weights`.  That value applies the width rule once per
 layer, at its first read, unless the step that built the layer seeded
-it; so the kind of kernel is a fixed property of the layer.
+it; so the kind of kernel is a fixed property of the layer, and that
+value is the one place that decides it.
 `layer_forward` is the one-layer map, `act_map` after `kleisli_apply`,
 and names no layer.
 """
@@ -31,7 +33,7 @@ from functools import cached_property
 from typing import Any, Sequence
 
 from .activation import Activation, act_map
-from .algebra import DomainError, Mat, ShapeError, Vec, _affine, kleisli_apply
+from .algebra import DomainError, EntryWeights, Mat, ShapeError, Vec, kleisli_apply
 
 BoolRow = tuple[bool, ...]
 BoolMat = tuple[BoolRow, ...]
@@ -89,24 +91,26 @@ class Layer:
         """The immutable weights that this layer's forward passes and
         steps run on, chosen once, at first read: for a layer with at
         least `WIDE_SIDE` rows and columns when numpy can be imported,
-        `ArrayWeights` loaded from its entries; otherwise its row-major
-        entry tuple.  numpy is imported here, for the first wide layer,
-        and never at module import: `_vectorized` imports this module.
+        `ArrayWeights` loaded from its entries and flags; otherwise
+        `EntryWeights` on its entry tuple and flags.  numpy is imported
+        here, for the first wide layer, and never at module import:
+        `_vectorized` imports this module.
         `Network._with_weights` alone seeds it, with the step's new
         weights, and `_loaded` alone reads it.  Like `mutable`, it lives
         outside the fields, so equality, `repr` and serialization never
         see it."""
         global _vectorized
         t = self.transition
-        if min(t.rows, t.cols) < WIDE_SIDE:
-            return t.entries
-        if _vectorized is None:
-            try:
-                from . import _vectorized as module
-            except ImportError:
-                module = False
-            _vectorized = module
-        return _vectorized.ArrayWeights.of(self) if _vectorized else t.entries
+        if min(t.rows, t.cols) >= WIDE_SIDE:
+            if _vectorized is None:
+                try:
+                    from . import _vectorized as module
+                except ImportError:
+                    module = False
+                _vectorized = module
+            if _vectorized:
+                return _vectorized.ArrayWeights.of(self)
+        return EntryWeights(t.entries, t.cols, self.mutable)
 
     @property
     def in_dim(self) -> int:
@@ -189,12 +193,11 @@ class Network:
     def _with_weights(self, weights: Sequence[Any]) -> "Network":
         """This network with layer i's transition entries replaced by the
         step's weights `weights[i]`, for the engine's own rebuilds
-        (updates).  Each item is either a row-major entry tuple, stored
-        as the new `Mat`'s entries, or a value whose `entries()` gives
-        that tuple.  Each item, either kind, seeds the new layer's
-        `_step_weights`, so a layer's entries and its step weights come
-        from one object, and a stepped layer keeps the kind of kernel
-        its step ran on.
+        (updates).  Each item is step weights, `EntryWeights` or
+        `ArrayWeights`, whose `entries()` is stored as the new `Mat`'s
+        entries.  Each item seeds the new layer's `_step_weights`, so a
+        layer's entries and its step weights come from one object, and a
+        stepped layer keeps the kind of kernel its step ran on.
 
         Precondition: each item holds layer i's rows x cols finite
         floats, as the step's update has checked once.  So each new
@@ -210,7 +213,7 @@ class Network:
             t = object.__new__(Mat)
             object.__setattr__(t, "rows", layer.transition.rows)
             object.__setattr__(t, "cols", layer.transition.cols)
-            object.__setattr__(t, "entries", w if type(w) is tuple else w.entries())
+            object.__setattr__(t, "entries", w.entries())
             new = object.__new__(Layer)
             object.__setattr__(new, "transition", t)
             object.__setattr__(new, "activation", layer.activation)
@@ -268,17 +271,17 @@ def _forward(
 ) -> tuple[list[Vec], list[Vec]]:
     """The one forward loop: the states a_0..a_m of `net` at input `x`
     and the pre-activations z_1..z_m, with layer i's affine map run on
-    `weights[i]`, which the caller guarantees holds the layer's shape:
-    its row-major entry tuple or its `ArrayWeights`, which give the same
-    bits.  Checks the input's length once; a state that leaves the finite
-    floats raises `DomainError` naming the layer, counted from 0.
+    its step weights `weights[i]`, which the caller guarantees hold the
+    layer's shape; both implementations give the same bits.  Checks the
+    input's length once; a state that leaves the finite floats raises
+    `DomainError` naming the layer, counted from 0.
     """
     if len(x) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(x)}")
     states, pre_activations = [x], []
     for idx, (layer, w) in enumerate(zip(net.layers, weights)):
         # `Network` guarantees the state has this layer's input length
-        z = _affine(w, states[-1]) if type(w) is tuple else w.affine(states[-1])
+        z = w.affine(states[-1])
         try:
             states.append(act_map(layer.activation, z))
         except DomainError as exc:

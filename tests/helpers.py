@@ -15,6 +15,7 @@ import struct
 
 from nncat import Network, make_layer, network, squared_error
 from nncat.activation import ACTIVATIONS, SIGMOID
+from nncat.algebra import EntryWeights
 from nncat.backprop import backprop_step
 from nncat.loss import transform_loss
 from nncat.network import compose, net_forward
@@ -151,8 +152,8 @@ def rebuilt(net):
 
 def on_numpy(net):
     """Which layers of `net` run on the numpy kernels: those whose step
-    weights are no entry tuple.  A layer not used yet chooses here."""
-    return [type(w) is not tuple for w in network._loaded(net)]
+    weights are no `EntryWeights`.  A layer not used yet chooses here."""
+    return [not isinstance(w, EntryWeights) for w in network._loaded(net)]
 
 
 def numpy_under(net, side):

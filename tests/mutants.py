@@ -98,14 +98,14 @@ MUTANTS = [
     ),
     (
         "the pure pushback summed in descending j",
-        "src/nncat/backward.py",
+        "src/nncat/algebra.py",
         "for sj, w in zip(s, entries[i::cols]):",
         "for sj, w in reversed(list(zip(s, entries[i::cols]))):",
         ["tests/test_vectorized.py", "tests/test_differential.py"],
     ),
     (
         "the pure update ignores the mask",
-        "src/nncat/backprop.py",
+        "src/nncat/algebra.py",
         "w - sj * ai if f else w",
         "w - sj * ai",
         ["tests/test_backprop.py", "tests/test_vectorized.py"],
@@ -202,8 +202,8 @@ MUTANTS = [
         # every layer is wide, so small nets import numpy
         "the cached kernel choice ignores WIDE_SIDE",
         "src/nncat/network.py",
-        "if min(t.rows, t.cols) < WIDE_SIDE:",
-        "if False:",
+        "if min(t.rows, t.cols) >= WIDE_SIDE:",
+        "if True:",
         [
             "tests/test_vectorized.py::test_widths_on_both_sides_of_the_constant",
             "tests/test_numpy_optional.py::test_small_nets_never_import_numpy",
@@ -287,7 +287,10 @@ MUTANTS = [
         "net_forward skips the width rule",
         "src/nncat/network.py",
         "return _forward(net, x, _loaded(net))[0][-1]",
-        "return _forward(net, x, [layer.transition.entries for layer in net.layers])[0][-1]",
+        "return _forward(net, x, [\n"
+        "        EntryWeights(layer.transition.entries, layer.transition.cols, layer.mutable)\n"
+        "        for layer in net.layers\n"
+        "    ])[0][-1]",
         ["tests/test_vectorized.py::test_net_forward_runs_the_weights_a_layer_carries"],
     ),
     (
@@ -320,6 +323,32 @@ MUTANTS = [
         "needs {n + 1} columns",
         "needs {n - 1} columns",
         ["tests/test_algebra.py"],
+    ),
+    (
+        # every pure step leaves its weights as they were
+        "EntryWeights.update returns self",
+        "src/nncat/algebra.py",
+        "return EntryWeights(tuple(new), cols, mutable)",
+        "return self",
+        [
+            "tests/test_backprop.py",
+            "tests/test_vectorized.py::test_kernels_equal_pure_kernels",
+        ],
+    ),
+    (
+        "Mat.row without its check",
+        "src/nncat/algebra.py",
+        "if not 0 <= j < self.rows:",
+        "if False:",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        # a pulled-back erosion that overflows is returned as it is
+        "erosion_transform_net without its check",
+        "src/nncat/backward.py",
+        "if net.layers and not all(map(math.isfinite, erosions[0])):",
+        "if False:",
+        ["tests/test_loss.py"],
     ),
 ]
 

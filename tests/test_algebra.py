@@ -89,6 +89,17 @@ class TestMat:
         with pytest.raises(ShapeError, match=r"outside 2x3$"):
             m[index]
 
+    @pytest.mark.parametrize("j", [2, 3, -1, -2])
+    def test_row_out_of_range(self, j):
+        # a slice would give () for 2 and -1, and row 0 for -2
+        m = Mat.from_rows([(1, 2), (3, 4)])
+        with pytest.raises(ShapeError, match=rf"^row {j} outside 2x2$"):
+            m.row(j)
+
+    def test_no_row_of_a_matrix_without_rows(self):
+        with pytest.raises(ShapeError, match=r"^row 0 outside 0x3$"):
+            Mat(0, 3, ()).row(0)
+
 
 class TestKleisliApply:
     def test_worked_example_first_layer(self):

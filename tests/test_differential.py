@@ -10,10 +10,10 @@ layer named.  The pushback through a layer must equal
 must equal the ones computed from the definitions, the sigmoid's slope
 written as `(e * y) * (1 - y)`; `layer_erosion_vector` must give each
 layer's signal and `net_forward` the last state.  `train`, which steps
-flat entry tuples and calls `backprop_step` only for its last step, must
-equal a fold of `backprop_step` and `validity`: the final weights, every
-loss and the error text of a run that overflows or records a loss that
-is not finite.  `fd_layer_gradient`, with the layers after it pulled
+the step weights it holds and calls `backprop_step` only for its last
+step, must equal a fold of `backprop_step` and `validity`: the final
+weights, every loss and the error text of a run that overflows or
+records a loss that is not finite.  `fd_layer_gradient`, with the layers after it pulled
 into the loss or passed as `rest`, must equal central differences taken
 from the definitions, each entry perturbed in a whole new layer, as bits
 or as the error text.
@@ -29,9 +29,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
-from nncat.algebra import DomainError, Mat, kleisli_apply, outer, vec_mat, weights_part
+from nncat.algebra import DomainError, EntryWeights, Mat, kleisli_apply, outer, vec_mat, weights_part
 from nncat.backprop import SgdConfig, backprop_step, train
-from nncat.backward import Gradient, _pushback_entries, layer_erosion_vector, masked_update, sweep
+from nncat.backward import Gradient, layer_erosion_vector, masked_update, sweep
 from nncat.loss import squared_error, transform_loss, validity
 from nncat.network import Layer, Network, identity_net, layer_forward, make_layer, net_forward
 from nncat.oracle import FdConfig, fd_layer_gradient
@@ -167,7 +167,8 @@ def test_pushback_matches_vec_mat(case, data):
         # small signals, so most sums stay finite and their order shows in the bits
         s = tuple(data.draw(st.floats(-2.0, 2.0)) for _ in range(layer.out_dim))
         t = layer.transition
-        assert bits(_pushback_entries(t.entries, t.cols, s)) == bits(vec_mat(s, weights_part(t)))
+        pushed = EntryWeights(t.entries, t.cols, layer.mutable).pushback(s)
+        assert bits(pushed) == bits(vec_mat(s, weights_part(t)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

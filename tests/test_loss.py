@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from nncat.activation import IDENTITY
 from nncat.algebra import DomainError, ShapeError
 from nncat.loss import (
     LossPredicate,
@@ -10,7 +12,7 @@ from nncat.loss import (
     validity,
     validity_equation_check,
 )
-from nncat.network import compose, identity_net, net_forward
+from nncat.network import Network, compose, identity_net, make_layer, net_forward
 from nncat.oracle import FdConfig, fd_erosion
 from nncat.randnet import random_network, random_state
 
@@ -95,6 +97,25 @@ class TestTransformLoss:
                 x = random_state(rng, first.in_dim)
                 assert nested.evaluate(x) == composed.evaluate(x)
                 assert nested.erosion(x) == composed.erosion(x)
+
+    @pytest.mark.parametrize(
+        "weights, rate, text",
+        [
+            # the output erosion is -1e10; layer 1 pushes it back to -inf
+            ((1e300, 1e300), 1e10, "-inf (layer 1)"),
+            # layer 1 pushes back -1e10 and layer 0 overflows
+            ((1e300, 1.0), 1e10, "-inf (layer 0)"),
+        ],
+    )
+    def test_an_erosion_that_leaves_the_floats_names_its_layer(self, weights, rate, text):
+        """1 x 1 identity layers, bias 0, at input 0: the pulled-back
+        value is finite, and its erosion names the layer whose pushback
+        first left the floats."""
+        net = Network.chain([make_layer([[w]], [0.0], IDENTITY) for w in weights])
+        pulled = transform_loss(net, squared_error((1.0,), rate))
+        assert pulled.evaluate((0.0,)) == 0.5 * rate
+        with pytest.raises(DomainError, match=f"^{re.escape('erosion is not finite: ' + text)}$"):
+            pulled.erosion((0.0,))
 
     def test_erosion_matches_finite_differences(self):
         # gradient coherence for plain and transformed predicates

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nncat import network
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID
-from nncat.algebra import DomainError, Mat, ShapeError
+from nncat.algebra import DomainError, EntryWeights, Mat, ShapeError
 from nncat.backward import sweep
 from nncat.network import (
     Layer,
@@ -88,7 +88,8 @@ class TestLayerConstruction:
             mask=((True, False), (False, True)), bias_mutable=(False, True),
         )
         t = Mat.from_rows([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
-        (rebuilt,) = Network.chain([layer])._with_weights([t.entries]).layers
+        weights = EntryWeights(t.entries, t.cols, layer.mutable)
+        (rebuilt,) = Network.chain([layer])._with_weights([weights]).layers
         assert rebuilt == Layer(t, SIGMOID, layer.mask, layer.bias_mutable)
         assert rebuilt.mask is layer.mask
         assert rebuilt.bias_mutable is layer.bias_mutable
@@ -150,11 +151,14 @@ class TestNetworkConstruction:
             return Network.chain([first, make_layer(SECOND_WEIGHTS, SECOND_BIAS, IDENTITY)])
 
         net = build()
-        weights = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
+        entries = [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0)]
+        weights = [
+            EntryWeights(e, 3, layer.mutable) for e, layer in zip(entries, net.layers, strict=True)
+        ]
         rebuilt = net._with_weights(weights)
         assert rebuilt == Network.chain([
-            Layer(Mat(2, 3, weights[0]), SIGMOID, mask, flags),
-            Layer(Mat(2, 3, weights[1]), IDENTITY),
+            Layer(Mat(2, 3, entries[0]), SIGMOID, mask, flags),
+            Layer(Mat(2, 3, entries[1]), IDENTITY),
         ])
         for new, old in zip(rebuilt.layers, net.layers, strict=True):
             assert new.mask is old.mask

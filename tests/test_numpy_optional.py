@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from nncat import backprop, network
+from nncat.algebra import EntryWeights
 from nncat.loss import squared_error
 from nncat.network import Network
 from nncat.randnet import random_layer
@@ -32,6 +33,7 @@ SMALL_NETS = """
 import random, sys
 import nncat
 from nncat import cli, demo, fileio, network
+from nncat.algebra import EntryWeights
 from nncat.network import Network
 from nncat.randnet import random_layer
 
@@ -40,12 +42,12 @@ net, losses = nncat.train(
     demo.mazur_network(), [(demo.INPUT, demo.TARGET)] * 3, 0.5, nncat.SgdConfig(epochs=20)
 )
 assert "numpy" not in sys.modules, "train"
-assert all(type(w) is tuple for w in network._loaded(net)), "train runs numpy weights"
+assert all(isinstance(w, EntryWeights) for w in network._loaded(net)), "train runs numpy weights"
 rng = random.Random(5)
 dims = (8, 16, 16, 8)
 net = Network.chain([random_layer(rng, n, k, mask_density=0.9) for n, k in zip(dims, dims[1:])])
 stepped, _ = nncat.backprop_step(net, (0.5,) * 8, nncat.squared_error((0.25,) * 8, 0.1))
-assert all(type(w) is tuple for w in network._loaded(stepped)), "the step runs numpy weights"
+assert all(isinstance(w, EntryWeights) for w in network._loaded(stepped)), "the step runs numpy weights"
 assert "numpy" not in sys.modules, "backprop_step"
 fileio.write_network(sys.argv[1], net)
 rc = cli.main([
@@ -88,7 +90,9 @@ def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     monkeypatch.setitem(sys.modules, "nncat._vectorized", None)
     monkeypatch.delattr("nncat._vectorized", raising=False)
     monkeypatch.setattr(network, "_vectorized", None)
-    assert network._loaded(net) == [net.layers[0].transition.entries]
+    (weights,) = network._loaded(net)
+    assert isinstance(weights, EntryWeights)
+    assert weights.entries() == net.layers[0].transition.entries
     assert network._vectorized is False
     got, _ = backprop.backprop_step(net, x, loss)
     assert on_numpy(got) == [False]

@@ -1,12 +1,13 @@
 """The numpy kernels against the pure ones, bit for bit.
 
+A layer's step weights have one interface with two implementations.
 A layer with at least `network.WIDE_SIDE` rows and columns runs forward
 and steps on `_vectorized.ArrayWeights` when numpy can be imported;
-every other layer runs on the pure kernels, the reference:
-`algebra._affine`, `backward._pushback_entries` and
-`backprop._updated_entries`.  Both must give the same floats, compared
-as IEEE 754 bits: the updated weights and the step's states, erosions
-and signals, or the same `DomainError` text, naming the same layer.
+every other layer runs on `algebra.EntryWeights`, the pure kernels and
+the reference.  Both must give the same floats, compared as IEEE 754
+bits: each of the four calls on its own, and the updated weights and
+the step's states, erosions and signals, or the same `DomainError`
+text, naming the same layer.
 The tests reach each path by setting `WIDE_SIDE`: 0 sends every layer
 to numpy, a size above every layer's keeps them all pure.  A layer
 chooses its kind once, at its first use, so each side runs on layers
@@ -42,8 +43,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from nncat import backprop, network  # noqa: E402
 from nncat._vectorized import ArrayWeights  # noqa: E402
 from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
-from nncat.algebra import DomainError, Mat, _affine  # noqa: E402
-from nncat.backward import _pushback_entries  # noqa: E402
+from nncat.algebra import DomainError, EntryWeights, Mat  # noqa: E402
 from nncat.fileio import parse_network, serialize_network  # noqa: E402
 from nncat.loss import squared_error, transform_loss, validity  # noqa: E402
 from nncat.loss import validity_equation_check  # noqa: E402
@@ -167,16 +167,18 @@ def test_kernels_equal_pure_kernels(data):
     x = tuple(data.draw(value) for _ in range(n))
     s = tuple(data.draw(value) for _ in range(rows))
     entries = layer.transition.entries
+    (pure,) = network._loaded(Network.chain([layer]))
+    assert isinstance(pure, EntryWeights)
     weights = ArrayWeights.of(layer)
     assert_read_only(weights)
-    assert bits(weights.entries()) == bits(entries)
-    assert bits(weights.affine(x)) == bits(_affine(entries, x))
-    assert bits(weights.pushback(s)) == bits(_pushback_entries(entries, n + 1, s))
+    assert bits(weights.entries()) == bits(pure.entries()) == bits(entries)
+    assert bits(weights.affine(x)) == bits(pure.affine(x))
+    assert bits(weights.pushback(s)) == bits(pure.pushback(s))
     inp = x + (1.0,)
     if not backprop._products_finite(s, inp):
         return
     try:
-        want = backprop._updated_entries(layer, entries, s, inp)
+        want = pure.update(s, inp)
     except DomainError as exc:
         with pytest.raises(DomainError) as caught:
             weights.update(s, inp)
@@ -184,15 +186,17 @@ def test_kernels_equal_pure_kernels(data):
         return
     updated = weights.update(s, inp)
     assert_read_only(updated)
-    assert bits(updated.entries()) == bits(want)
-    assert bits(weights.entries()) == bits(entries)
+    assert bits(updated.entries()) == bits(want.entries())
+    assert want.cols == pure.cols and want.mutable is pure.mutable
+    assert bits(weights.entries()) == bits(pure.entries()) == bits(entries)
 
 
 @pytest.mark.parametrize("side", [ALL_PURE, ALL_NUMPY])
 def test_a_layer_built_from_a_list_steps_like_its_tuple_twin(side):
-    """The step tells entry tuples from `ArrayWeights` by type, which
-    holds because a `Mat` stores its entries as a tuple."""
+    """A `Mat` stores its entries as a tuple, so a layer built from a
+    list steps, on either kind, like its twin built from a tuple."""
     net = Network.chain([Layer(Mat(1, 2, [0.5, 0.25]), SIGMOID)])
+    assert type(net.layers[0].transition.entries) is tuple
     twin = Network.chain([Layer(Mat(1, 2, (0.5, 0.25)), SIGMOID)])
     a, loss = (-1.5,), squared_error((0.75,), 0.5)
     want = step(twin, a, loss, ALL_PURE)
@@ -376,12 +380,12 @@ def test_a_forward_pass_that_leaves_the_floats_raises_the_pure_text():
 
 
 def held(net):
-    """Which layers of `net` run on numpy; each one's weights are
-    read-only and equal, as bits, to its layer's entries."""
+    """Which layers of `net` run on numpy; each layer's step weights
+    equal, as bits, its entries, and the numpy ones are read-only."""
     for layer, w in zip(net.layers, network._loaded(net)):
-        if type(w) is not tuple:
+        if isinstance(w, ArrayWeights):
             assert_read_only(w)
-            assert bits(w.entries()) == bits(layer.transition.entries)
+        assert bits(w.entries()) == bits(layer.transition.entries)
     return on_numpy(net)
 
 

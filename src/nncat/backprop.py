@@ -29,14 +29,8 @@ checking once that every product and every new entry is finite.  An
 update returns new weights and never writes the ones it read, so
 nothing is copied.
 `backprop_step` hands the list of new weights, as it is, to
-`Network._with_weights`, the one rebuild that reuses the shapes, masks
-and bias flags already checked and does not scan the entries again.  It
-stores each item's entry tuple and seeds the new layer's step weights
-with the item itself, so a later step or forward pass on that layer, in
-any network, starts from them, loads nothing from the entries and runs
-the kind of kernel this step ran.  `network._loaded`, which
-`net_forward` also calls, is the one reader of a layer's step weights;
-a layer no step built chooses its kind once, at its first read.  `train`
+`Network._with_weights`, the one rebuild; its docstring says what the
+stepped network keeps and how it seeds each layer's step weights.  `train`
 reads the weights once and holds them for the whole run, and builds a
 network from them once, for its last step, which is `backprop_step`; no
 other step builds a matrix, layer, network or trace.  The trace keeps the

@@ -146,7 +146,7 @@ def layer_gradient(layer: Layer, a: Vec, loss: "LossPredicate") -> Gradient:
     if loss.dim != layer.out_dim:
         raise ShapeError(f"loss of dimension {loss.dim} vs layer output {layer.out_dim}")
     s = sweep(Network.chain([layer]), a, loss.erosion)[2][0]
-    return Gradient(outer(s, a + (1.0,)))
+    return Gradient(outer(s, tuple(a) + (1.0,)))
 
 
 def erosion_transform_net(net: Network, erosion: ErosionFn, x: Vec) -> Vec:

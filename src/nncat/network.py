@@ -200,28 +200,26 @@ class Network:
         stepped layer keeps the kind of kernel its step ran on.
 
         Precondition: each item holds layer i's rows x cols finite
-        floats, as the step's update has checked once.  So each new
-        `Mat` and `Layer` skips its O(entries) __post_init__ and reuses
-        the shape, activation, mask and bias flags checked when this
-        network was built; this is the engine's one unchecked
-        construction.  The network itself is built through its O(depth)
-        public check.  An item must be immutable, since it holds the
-        layer's entries for the life of the layer.
+        floats, as the step's update has checked once.  Each new `Mat`,
+        `Layer` and the network are copies of their parents with only
+        those values replaced, so they skip `__post_init__` and keep
+        every other field, the layer's `mutable` flags once built
+        among them; this is the engine's one unchecked construction.
+        The network needs no check: its dims and layer count are its
+        parent's, and each layer's shape is its parent layer's.  An item
+        must be immutable, since it holds the layer's entries for the
+        life of the layer.
         """
         layers = []
         for layer, w in zip(self.layers, weights, strict=True):
-            t = object.__new__(Mat)
-            object.__setattr__(t, "rows", layer.transition.rows)
-            object.__setattr__(t, "cols", layer.transition.cols)
-            object.__setattr__(t, "entries", w.entries())
-            new = object.__new__(Layer)
-            object.__setattr__(new, "transition", t)
-            object.__setattr__(new, "activation", layer.activation)
-            object.__setattr__(new, "mask", layer.mask)
-            object.__setattr__(new, "bias_mutable", layer.bias_mutable)
-            object.__setattr__(new, "_step_weights", w)
+            t = object.__new__(type(layer.transition))
+            vars(t).update(vars(layer.transition), entries=w.entries())
+            new = object.__new__(type(layer))
+            vars(new).update(vars(layer), transition=t, _step_weights=w)
             layers.append(new)
-        return Network(tuple(layers), self.in_dim, self.out_dim)
+        net = object.__new__(type(self))
+        vars(net).update(vars(self), layers=tuple(layers))
+        return net
 
     @classmethod
     def chain(cls, layers: Sequence[Layer]) -> "Network":
@@ -272,13 +270,15 @@ def _forward(
     """The one forward loop: the states a_0..a_m of `net` at input `x`
     and the pre-activations z_1..z_m, with layer i's affine map run on
     its step weights `weights[i]`, which the caller guarantees hold the
-    layer's shape; both implementations give the same bits.  Checks the
-    input's length once; a state that leaves the finite floats raises
-    `DomainError` naming the layer, counted from 0.
+    layer's shape; both implementations give the same bits.  a_0 is `x`
+    as a tuple, so every state extends by `+ (1.0,)` whether the caller
+    gave a tuple or a list.  Checks the input's length once; a state
+    that leaves the finite floats raises `DomainError` naming the layer,
+    counted from 0.
     """
     if len(x) != net.in_dim:
         raise ShapeError(f"network expects {net.in_dim} inputs, got {len(x)}")
-    states, pre_activations = [x], []
+    states, pre_activations = [tuple(x)], []
     for idx, (layer, w) in enumerate(zip(net.layers, weights)):
         # `Network` guarantees the state has this layer's input length
         z = w.affine(states[-1])

@@ -94,7 +94,7 @@ def fd_layer_gradient(
     y = layer_forward(layer, a)
     # the trailing 1 feeds the bias column: w * 1.0 == w, so a sum resumed
     # over it is `_affine`'s `acc + row[-1]`, bit for bit
-    a1 = a + (1.0,)
+    a1 = tuple(a) + (1.0,)
     y1 = y + (1.0,)
     if rest.layers:
         first, *later = rest.layers

@@ -231,19 +231,51 @@ MUTANTS = [
         # each stepped layer chooses and loads again at its first use
         "_with_weights carries nothing",
         "src/nncat/network.py",
-        'object.__setattr__(new, "_step_weights", w)',
-        "pass",
+        "vars(new).update(vars(layer), transition=t, _step_weights=w)",
+        "vars(new).update(vars(layer), transition=t)\n"
+        '            vars(new).pop("_step_weights", None)',
         [
             "tests/test_vectorized.py::test_a_chain_of_carried_steps_equals_the_pure_chain",
             "tests/test_vectorized.py::test_a_layer_keeps_the_kind_of_its_first_use",
         ],
     ),
     (
+        # the copy keeps the parent's step weights, which the step loaded
         "a new layer is seeded with its parent's weights",
         "src/nncat/network.py",
-        'object.__setattr__(new, "_step_weights", w)',
-        'object.__setattr__(new, "_step_weights", layer._step_weights)',
+        "transition=t, _step_weights=w)",
+        "transition=t)",
         ["tests/test_vectorized.py::test_a_chain_of_carried_steps_equals_the_pure_chain"],
+    ),
+    (
+        # the stepped layer runs on the new weights but stores and
+        # serializes the old entries
+        "the copied Mat keeps its parent's entries",
+        "src/nncat/network.py",
+        "vars(t).update(vars(layer.transition), entries=w.entries())",
+        "vars(t).update(vars(layer.transition))",
+        [
+            "tests/test_backprop.py",
+            "tests/test_network.py::test_the_unchecked_copy_equals_the_checked_construction",
+        ],
+    ),
+    (
+        "the copied network keeps its parent's layers",
+        "src/nncat/network.py",
+        "vars(net).update(vars(self), layers=tuple(layers))",
+        "vars(net).update(vars(self))",
+        [
+            "tests/test_backprop.py",
+            "tests/test_network.py::test_the_unchecked_copy_equals_the_checked_construction",
+        ],
+    ),
+    (
+        # a list input reaches `+ (1.0,)` as a list
+        "_forward keeps a list input as it is",
+        "src/nncat/network.py",
+        "states, pre_activations = [tuple(x)], []",
+        "states, pre_activations = [x], []",
+        ["tests/test_backprop.py::test_a_list_input_gives_the_bits_of_its_tuple_twin"],
     ),
     (
         "Mat keeps a list",

@@ -9,12 +9,14 @@ from nncat.backprop import SgdConfig, backprop_step, functoriality_check, train
 from nncat.backward import layer_gradient, masked_update
 from nncat.loss import squared_error, transform_loss, validity
 from nncat.network import Network, compose, identity_net, make_layer, net_forward
+from nncat.oracle import fd_layer_gradient
 from nncat.randnet import random_network, random_state
 
 from helpers import (
     GOLD_UPDATED_FIRST,
     GOLD_UPDATED_SECOND,
     INPUT,
+    RATE,
     TARGET,
     TOL8,
     all_activations,
@@ -344,3 +346,30 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(-1)
+
+
+def test_a_list_input_gives_the_bits_of_its_tuple_twin():
+    """The step, `train`, both layer gradients and the functor check take
+    a list as the input state and give the bits its tuple gives: the
+    forward loop stores the input as a tuple, so a state always extends
+    by `+ (1.0,)`.  `repr` writes each float's shortest round trip, so
+    equal texts are equal bits."""
+    net = mazur_network()
+    loss = mazur_loss()
+    first, second = (Network.chain([layer]) for layer in net.layers)
+
+    def runs(x):
+        stepped, trace = backprop_step(net, x, loss)
+        trained, losses = train(net, [(x, TARGET)], RATE, SgdConfig(2))
+        return [
+            stepped,
+            trace,
+            trace.gradients,
+            trained,
+            losses,
+            layer_gradient(first.layers[0], x, transform_loss(second, loss)),
+            fd_layer_gradient(first.layers[0], x, loss, rest=second),
+            functoriality_check(first, second, x, loss, tol=0.0),
+        ]
+
+    assert repr(runs(list(INPUT))) == repr(runs(INPUT))

@@ -1,5 +1,6 @@
 import random
 import struct
+from functools import cached_property
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +25,7 @@ from helpers import (
     FIRST_BIAS,
     FIRST_WEIGHTS,
     GOLD_HIDDEN,
+    HAVE_NUMPY,
     GOLD_OUTPUT,
     SECOND_BIAS,
     SECOND_WEIGHTS,
@@ -365,3 +367,76 @@ class TestIdentityNet:
 
     def test_zero_dimension(self):
         assert net_forward(identity_net(0), ()) == ()
+
+
+@st.composite
+def rebuild_cases(draw):
+    """(net, weights, twin): a net of 0-3 layers of widths 0-3, so with
+    zero-row and zero-column layers, some masked, some with their
+    `mutable` flags or step weights already built; for each layer, step
+    weights on new finite entries, `EntryWeights` or, with numpy,
+    `ArrayWeights`; and `twin`, those entries built through the public
+    `Mat`, `Layer` and `Network` constructors."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    densities = st.sampled_from((1.0, 0.5))
+    layers = [random_layer(rng, n, k, mask_density=draw(densities)) for n, k in zip(dims, dims[1:])]
+    net = Network(tuple(layers), dims[0], dims[-1])
+    for layer in layers:
+        # each read builds and caches its value, which the copy must carry
+        if draw(st.booleans()):
+            layer.mutable
+        if draw(st.booleans()):
+            network._loaded(Network.chain([layer]))
+    kinds = ("entries", "arrays") if HAVE_NUMPY else ("entries",)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    twins, weights = [], []
+    for layer in layers:
+        t = layer.transition
+        entries = tuple(draw(st.lists(finite, min_size=len(t.entries), max_size=len(t.entries))))
+        twin = Layer(Mat(t.rows, t.cols, entries), layer.activation, layer.mask, layer.bias_mutable)
+        if draw(st.sampled_from(kinds)) == "arrays":
+            from nncat._vectorized import ArrayWeights
+
+            weights.append(ArrayWeights.of(twin))
+        else:
+            weights.append(EntryWeights(entries, t.cols, twin.mutable))
+        twins.append(twin)
+    return net, weights, Network(tuple(twins), net.in_dim, net.out_dim)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=rebuild_cases())
+def test_the_unchecked_copy_equals_the_checked_construction(case):
+    """`_with_weights` copies each layer and replaces only its entries and
+    its step weights: the result equals, hashes and prints like the
+    checked construction of the same entries, carries the given weights,
+    and shares every other value with its parent, the `mutable` flags
+    too once they were built."""
+    net, weights, twin = case
+    stepped = net._with_weights(weights)
+    assert stepped == twin
+    assert hash(stepped) == hash(twin)
+    assert repr(stepped) == repr(twin)
+    assert type(stepped.layers) is tuple
+    assert all(got is w for got, w in zip(network._loaded(stepped), weights, strict=True))
+    for old, new, checked in zip(net.layers, stepped.layers, twin.layers):
+        assert new.activation is old.activation
+        assert new.mask is old.mask
+        assert new.bias_mutable is old.bias_mutable
+        if "mutable" in vars(old):
+            assert new.mutable is old.mutable
+        assert new.mutable == checked.mutable
+
+
+def test_the_copy_decides_every_cached_value():
+    """`_with_weights` copies a layer's instance dict, cached values and
+    all, and replaces `_step_weights`; the `mutable` flags depend only on
+    the fields it keeps.  A new cached value on `Mat`, `Layer` or
+    `Network` needs its own decision: keep it or replace it."""
+
+    def cached(cls):
+        return {name for name, value in vars(cls).items() if isinstance(value, cached_property)}
+
+    assert cached(Layer) == {"mutable", "_step_weights"}
+    assert cached(Mat) == cached(Network) == set()

@@ -185,6 +185,78 @@ class TestNetworkParsing:
             read_network(tmp_path / "missing.json")
 
 
+def layer_doc(**fields):
+    """A valid 2-in, 2-out sigmoid layer, with `fields` replaced; a field
+    given as None is dropped."""
+    doc = {"weights": [[0.15, 0.2], [0.25, 0.3]], "bias": [0.35, 0.35], "activation": "sigmoid"}
+    doc.update(fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+WIDER = {"weights": [[1.0, 2.0, 3.0]], "bias": [0.0], "activation": "tanh"}
+KNOWN = "(known: identity, sigmoid, softplus, tanh)"
+
+# every text the parser gives for a malformed network document, exactly;
+# the rows marked "two faults" hold two and pin which one is reported
+MALFORMED_NETWORKS = [
+    ("top-level", [1, 2], "top level must be a JSON object"),
+    ("layers-type", {"layers": 5}, 'missing or invalid "layers" array'),
+    ("layers-missing", {"in_dim": 2}, 'missing or invalid "layers" array'),
+    ("in-dim-negative", {"in_dim": -1, "layers": [layer_doc()]}, '"in_dim" must be a count'),
+    ("in-dim-bool", {"in_dim": True, "layers": [layer_doc()]}, '"in_dim" must be a count'),
+    ("in-dim-float", {"in_dim": 2.0, "layers": [layer_doc()]}, '"in_dim" must be a count'),
+    ("empty-no-in-dim", {"layers": []}, 'empty "layers" needs an explicit "in_dim"'),
+    ("layer-type", {"layers": [[1.0]]}, "layer 0: must be an object"),
+    ("weights-missing", {"layers": [layer_doc(weights=None)]}, 'layer 0: missing "weights"'),
+    ("bias-type", {"layers": [layer_doc(bias="b")]}, 'layer 0: missing "bias"'),
+    ("row-type", {"layers": [layer_doc(weights=[[1.0, 2.0], 3.0])]}, "layer 0: weight rows must be arrays"),
+    ("weight-string", {"layers": [layer_doc(weights=[[1.0, "x"], [1.0, 2.0]])]}, "layer 0: entries must be finite numbers"),
+    ("bias-bool", {"layers": [layer_doc(bias=[0.1, True])]}, "layer 0: entries must be finite numbers"),
+    ("bias-huge-int", {"layers": [layer_doc(bias=[0.1, 10**400])]}, "layer 0: entries must be finite numbers"),
+    ("tag-type", {"layers": [layer_doc(activation=3)]}, 'layer 0: missing "activation" tag'),
+    ("tag-unknown", {"layers": [layer_doc(activation="relu")]}, f"layer 0: unknown activation tag 'relu' {KNOWN}"),
+    ("mask-ints", {"layers": [layer_doc(mask=[[1, 0], [1, 1]])]}, "layer 0: mask must be an array of boolean arrays"),
+    ("mask-type", {"layers": [layer_doc(mask="m")]}, "layer 0: mask must be an array of boolean arrays"),
+    ("mask-flat", {"layers": [layer_doc(mask=[True, True])]}, "layer 0: mask must be an array of boolean arrays"),
+    ("flags-ints", {"layers": [layer_doc(bias_mutable=[1, 0])]}, "layer 0: bias_mutable must be an array of booleans"),
+    ("flags-type", {"layers": [layer_doc(bias_mutable=True)]}, "layer 0: bias_mutable must be an array of booleans"),
+    ("bias-count", {"layers": [layer_doc(bias=[0.35])]}, "layer 0: 2 weight rows vs 1 bias entries"),
+    ("ragged-short", {"layers": [layer_doc(weights=[[1.0, 2.0], [1.0]])]}, "layer 0: row 0 has 2 entries but row 1 has 1"),
+    ("ragged-long", {"layers": [layer_doc(weights=[[1.0], [1.0, 2.0]])]}, "layer 0: row 0 has 1 entries but row 1 has 2"),
+    ("zero-rows", {"layers": [layer_doc(weights=[], bias=[])]}, "layer 0: zero-row weights need a declared in_dim"),
+    ("mask-shape", {"layers": [layer_doc(mask=[[True], [True]])]}, "layer 0: mask must be 2x2 to match transition 2x3"),
+    ("flags-length", {"layers": [layer_doc(bias_mutable=[True])]}, "layer 0: bias_mutable must have length 2, got 1"),
+    ("second-layer", {"layers": [layer_doc(), layer_doc(mask=[[1]])]}, "layer 1: mask must be an array of boolean arrays"),
+    ("chain", {"layers": [layer_doc(), WIDER]}, "layer 0 emits 2 values but layer 1 expects 3"),
+    ("declared-width", {"in_dim": 5, "layers": [layer_doc()]}, "layer 0 expects 2 inputs, network declares 5"),
+    # two faults
+    ("layers-and-in-dim", {"in_dim": -3, "layers": 5}, 'missing or invalid "layers" array'),
+    ("in-dim-and-empty", {"in_dim": -3, "layers": []}, '"in_dim" must be a count'),
+    ("weights-and-bias", {"layers": [layer_doc(weights=None, bias=None)]}, 'layer 0: missing "weights"'),
+    ("row-and-entry", {"layers": [layer_doc(weights=[[1.0, "x"], 3.0])]}, "layer 0: weight rows must be arrays"),
+    ("row-and-bias-entry", {"layers": [layer_doc(weights=[[1.0, 2.0], 3.0], bias=[0.1, None])]}, "layer 0: weight rows must be arrays"),
+    ("entry-and-tag", {"layers": [layer_doc(bias=[0.1, None], activation="relu")]}, "layer 0: entries must be finite numbers"),
+    ("tag-and-mask", {"layers": [layer_doc(activation="relu", mask=[[1]])]}, f"layer 0: unknown activation tag 'relu' {KNOWN}"),
+    ("mask-and-flags", {"layers": [layer_doc(mask=[[1, 0], [1, 1]], bias_mutable=[0])]}, "layer 0: mask must be an array of boolean arrays"),
+    ("flags-and-count", {"layers": [layer_doc(bias=[0.35], bias_mutable=[0])]}, "layer 0: bias_mutable must be an array of booleans"),
+    ("count-and-mask-shape", {"layers": [layer_doc(bias=[0.35], mask=[[True]])]}, "layer 0: 2 weight rows vs 1 bias entries"),
+    ("ragged-and-flags-length", {"layers": [layer_doc(weights=[[1.0, 2.0], [1.0]], bias_mutable=[True])]}, "layer 0: row 0 has 2 entries but row 1 has 1"),
+    ("mask-shape-and-flags-length", {"layers": [layer_doc(mask=[[True]], bias_mutable=[True])]}, "layer 0: mask must be 2x2 to match transition 2x3"),
+    ("first-layer-first", {"layers": [layer_doc(activation="relu"), layer_doc(weights=None)]}, f"layer 0: unknown activation tag 'relu' {KNOWN}"),
+    ("layer-before-chain", {"layers": [layer_doc(), WIDER, layer_doc(bias=[0.1, "x"])]}, "layer 2: entries must be finite numbers"),
+    ("declared-before-chain", {"in_dim": 5, "layers": [layer_doc(), WIDER]}, "layer 0 expects 2 inputs, network declares 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, text", [row[1:] for row in MALFORMED_NETWORKS], ids=[row[0] for row in MALFORMED_NETWORKS]
+)
+def test_malformed_network_text(doc, text):
+    with pytest.raises(FileFormatError) as caught:
+        parse_network(json.dumps(doc))
+    assert str(caught.value) == text
+
+
 class TestParseVector:
     def test_basic(self):
         assert parse_vector("0.05, 0.1") == (0.05, 0.1)
@@ -220,6 +292,20 @@ class TestDataset:
         path = self.write(tmp_path, "0.05,0.1,0.01,0.99\n1,2,3\n")
         with pytest.raises(FileFormatError, match=":2"):
             read_dataset(path, 2, 2)
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            ("1,2,3", "expected 4 values (2 inputs + 2 targets), got 3"),
+            ("1,2,x,4", "entry 2 is not a number: 'x'"),
+        ],
+        ids=["width", "literal"],
+    )
+    def test_error_text_names_path_and_line(self, tmp_path, line, text):
+        path = self.write(tmp_path, f"0.05,0.1,0.01,0.99\n\n{line}\n")
+        with pytest.raises(FileFormatError) as caught:
+            read_dataset(path, 2, 2)
+        assert str(caught.value) == f"{path}:3: {text}"
 
     def test_empty_file_gives_no_rows(self, tmp_path):
         path = self.write(tmp_path, "")

@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -65,64 +66,62 @@ def _finite_number(value: object) -> bool:
         return False
 
 
+def _bools(value: object) -> bool:
+    """A JSON array of booleans: a mask row, or a layer's bias flags."""
+    return isinstance(value, list) and all(isinstance(v, bool) for v in value)
+
+
 def network_from_json(doc: object) -> Network:
+    """The network a parsed JSON document describes, or the first error.
+
+    The checks run in this order, and the first that fails is reported:
+    the top level is an object, "layers" an array and "in_dim", when
+    given, a count; an empty "layers" needs "in_dim".  Then each layer
+    in turn: it is an object, "weights" and "bias" are arrays, every
+    weight row is an array, every entry a finite number, "activation" a
+    known tag, "mask" an array of boolean arrays and "bias_mutable" an
+    array of booleans, both when given; then `make_layer` and `Layer`
+    check the shapes.  Each of these errors is prefixed with "layer N: ",
+    N counting from 0.  Last, `Network` checks the chain of widths and
+    the declared "in_dim".
+    """
     _require(isinstance(doc, dict), "top level must be a JSON object")
-    assert isinstance(doc, dict)
     raw_layers = doc.get("layers")
     _require(isinstance(raw_layers, list), 'missing or invalid "layers" array')
     declared = doc.get("in_dim")
-    if declared is not None:
-        _require(
-            isinstance(declared, int) and not isinstance(declared, bool) and declared >= 0,
-            '"in_dim" must be a count',
-        )
+    _require(
+        declared is None
+        or isinstance(declared, int) and not isinstance(declared, bool) and declared >= 0,
+        '"in_dim" must be a count',
+    )
     if not raw_layers:
         _require(declared is not None, 'empty "layers" needs an explicit "in_dim"')
         return identity_net(declared)
 
-    # only the JSON types here: `make_layer`, `Layer` and `Network` check
-    # the shapes, and their errors reach the user below
     layers: list[Layer] = []
     for pos, entry in enumerate(raw_layers):
-        where = f"layer {pos}"
-        _require(isinstance(entry, dict), f"{where}: must be an object")
-        weights = entry.get("weights")
-        bias = entry.get("bias")
-        _require(isinstance(weights, list), f'{where}: missing "weights"')
-        _require(isinstance(bias, list), f'{where}: missing "bias"')
-        for row in weights:
-            _require(isinstance(row, list), f"{where}: weight rows must be arrays")
-        for value in bias + [v for row in weights for v in row]:
-            _require(_finite_number(value), f"{where}: entries must be finite numbers")
-        tag = entry.get("activation")
-        _require(isinstance(tag, str), f'{where}: missing "activation" tag')
         try:
+            _require(isinstance(entry, dict), "must be an object")
+            weights, bias = entry.get("weights"), entry.get("bias")
+            _require(isinstance(weights, list), 'missing "weights"')
+            _require(isinstance(bias, list), 'missing "bias"')
+            _require(all(isinstance(row, list) for row in weights), "weight rows must be arrays")
+            entries = chain(bias, *weights)
+            _require(all(map(_finite_number, entries)), "entries must be finite numbers")
+            tag = entry.get("activation")
+            _require(isinstance(tag, str), 'missing "activation" tag')
             activation = activation_from_tag(tag)
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from None
-        mask = entry.get("mask")
-        if mask is not None:
+            mask, flags = entry.get("mask"), entry.get("bias_mutable")
             _require(
-                isinstance(mask, list)
-                and all(
-                    isinstance(row, list) and all(isinstance(v, bool) for v in row)
-                    for row in mask
-                ),
-                f"{where}: mask must be an array of boolean arrays",
+                mask is None or isinstance(mask, list) and all(map(_bools, mask)),
+                "mask must be an array of boolean arrays",
             )
-        bias_mutable = entry.get("bias_mutable")
-        if bias_mutable is not None:
-            _require(
-                isinstance(bias_mutable, list) and all(isinstance(v, bool) for v in bias_mutable),
-                f"{where}: bias_mutable must be an array of booleans",
-            )
-
-        # a layer with rows reads its width from them; `Network` checks the chain
-        in_dim = None if weights else layers[-1].out_dim if layers else declared
-        try:
-            layers.append(make_layer(weights, bias, activation, mask, bias_mutable, in_dim))
+            _require(flags is None or _bools(flags), "bias_mutable must be an array of booleans")
+            # a layer with rows reads its width from them; `Network` checks the chain
+            in_dim = None if weights else layers[-1].out_dim if layers else declared
+            layers.append(make_layer(weights, bias, activation, mask, flags, in_dim))
         except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from None
+            raise FileFormatError(f"layer {pos}: {exc}") from None
 
     try:
         return Network(
@@ -210,13 +209,13 @@ def read_dataset(path: str | Path, in_dim: int, out_dim: int) -> list[tuple[Vec,
             continue
         try:
             values = parse_vector(line)
+            if len(values) != width:
+                raise FileFormatError(
+                    f"expected {width} values ({in_dim} inputs + {out_dim} targets), "
+                    f"got {len(values)}"
+                )
         except FileFormatError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        if len(values) != width:
-            raise FileFormatError(
-                f"{path}:{lineno}: expected {width} values "
-                f"({in_dim} inputs + {out_dim} targets), got {len(values)}"
-            )
         rows.append((values[:in_dim], values[in_dim:]))
     return rows
 

@@ -68,8 +68,49 @@ MUTANTS = [
     (
         "the parser's bool check on mask entries off",
         "src/nncat/fileio.py",
-        "isinstance(row, list) and all(isinstance(v, bool) for v in row)",
-        "isinstance(row, list)",
+        "all(map(_bools, mask))",
+        "all(isinstance(row, list) for row in mask)",
+        ["tests/test_fileio.py"],
+    ),
+    (
+        "a parse error loses its layer prefix",
+        "src/nncat/fileio.py",
+        'raise FileFormatError(f"layer {pos}: {exc}") from None',
+        "raise",
+        ["tests/test_fileio.py", "tests/test_cli.py"],
+    ),
+    (
+        "_finite_number accepts a boolean",
+        "src/nncat/fileio.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+        ["tests/test_fileio.py"],
+    ),
+    (
+        "the parser's bias_mutable check off",
+        "src/nncat/fileio.py",
+        "flags is None or _bools(flags)",
+        "True",
+        ["tests/test_fileio.py"],
+    ),
+    (
+        # the width check moved out of the try that adds "path:line: "
+        "a dataset width error loses its path and line",
+        "src/nncat/fileio.py",
+        "            if len(values) != width:\n"
+        "                raise FileFormatError(\n"
+        '                    f"expected {width} values ({in_dim} inputs + {out_dim} targets), "\n'
+        '                    f"got {len(values)}"\n'
+        "                )\n"
+        "        except FileFormatError as exc:\n"
+        '            raise FileFormatError(f"{path}:{lineno}: {exc}") from None\n',
+        "        except FileFormatError as exc:\n"
+        '            raise FileFormatError(f"{path}:{lineno}: {exc}") from None\n'
+        "        if len(values) != width:\n"
+        "            raise FileFormatError(\n"
+        '                f"expected {width} values ({in_dim} inputs + {out_dim} targets), "\n'
+        '                f"got {len(values)}"\n'
+        "            )\n",
         ["tests/test_fileio.py"],
     ),
     (

@@ -81,6 +81,15 @@ class TestForward:
         assert run(["forward", "--net", str(bad), "--input=0.5"]) == 2
         assert "bad.json" in capsys.readouterr().err
 
+    def test_malformed_layer_names_file_and_layer(self, tmp_path, capsys):
+        # CI runs the same file through `python -m nncat`
+        bad = tmp_path / "bad.json"
+        layer = '{"weights": [[1.0]], "bias": [0.0], "activation": "identity"'
+        bad.write_text(f'{{"layers": [{layer}}}, {layer}, "mask": [[1]]}}]}}')
+        assert run(["forward", "--net", str(bad), "--input", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"nncat: error: {bad}: layer 1: mask must be an array of boolean arrays\n"
+
     def test_missing_network_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.json"
         assert run(["forward", "--net", str(missing), "--input", "1,2"]) == 2

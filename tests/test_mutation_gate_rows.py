@@ -20,3 +20,12 @@ def test_the_row_plants_its_fault(file, old):
     path = mutants.ROOT / file
     assert path.is_file()
     assert path.read_text(encoding="utf-8").count(old) == 1
+
+
+# a mutant that does not compile fails every target for a reason other
+# than its fault, so the gate would count it killed without testing it
+@pytest.mark.parametrize(
+    "file, old, new", [row[1:4] for row in mutants.MUTANTS], ids=[row[0] for row in mutants.MUTANTS]
+)
+def test_the_mutant_compiles(file, old, new):
+    compile((mutants.ROOT / file).read_text(encoding="utf-8").replace(old, new), file, "exec")

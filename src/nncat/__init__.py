@@ -22,12 +22,9 @@ from .algebra import (
     Mat,
     ShapeError,
     Vec,
-    hadamard,
     kleisli_apply,
     outer,
     vec,
-    vec_mat,
-    weights_part,
 )
 from .backprop import BackpropTrace, SgdConfig, backprop_step, functoriality_check, train
 from .backward import (
@@ -35,7 +32,6 @@ from .backward import (
     erosion_transform_net,
     layer_erosion_vector,
     layer_gradient,
-    masked_update,
 )
 from .loss import (
     LossPredicate,
@@ -82,14 +78,12 @@ __all__ = [
     "fd_erosion",
     "fd_layer_gradient",
     "functoriality_check",
-    "hadamard",
     "identity_net",
     "kleisli_apply",
     "layer_erosion_vector",
     "layer_forward",
     "layer_gradient",
     "make_layer",
-    "masked_update",
     "net_forward",
     "outer",
     "squared_error",
@@ -98,6 +92,4 @@ __all__ = [
     "validity",
     "validity_equation_check",
     "vec",
-    "vec_mat",
-    "weights_part",
 ]

@@ -225,6 +225,11 @@ MALFORMED_NETWORKS = [
     ("ragged-long", {"layers": [layer_doc(weights=[[1.0], [1.0, 2.0]])]}, "layer 0: row 0 has 1 entries but row 1 has 2"),
     ("zero-rows", {"layers": [layer_doc(weights=[], bias=[])]}, "layer 0: zero-row weights need a declared in_dim"),
     ("mask-shape", {"layers": [layer_doc(mask=[[True], [True]])]}, "layer 0: mask must be 2x2 to match transition 2x3"),
+    ("mask-rows", {"layers": [layer_doc(mask=[[True, True]])]}, "layer 0: mask must be 2x2 to match transition 2x3"),
+    ("mask-short-row", {"layers": [layer_doc(mask=[[True, True], [True]])]}, "layer 0: mask must be 2x2 to match transition 2x3"),
+    ("bias-count-long", {"layers": [layer_doc(bias=[0.35, 0.35, 0.35])]}, "layer 0: 2 weight rows vs 3 bias entries"),
+    # json.dumps writes Infinity, which json.loads reads back as a float
+    ("bias-infinity", {"layers": [layer_doc(bias=[0.35, float("inf")])]}, "layer 0: entries must be finite numbers"),
     ("flags-length", {"layers": [layer_doc(bias_mutable=[True])]}, "layer 0: bias_mutable must have length 2, got 1"),
     ("second-layer", {"layers": [layer_doc(), layer_doc(mask=[[1]])]}, "layer 1: mask must be an array of boolean arrays"),
     ("chain", {"layers": [layer_doc(), WIDER]}, "layer 0 emits 2 values but layer 1 expects 3"),

@@ -13,12 +13,14 @@ import math
 import random
 import struct
 
+from hypothesis import strategies as st
+
 from nncat import Network, make_layer, network, squared_error
 from nncat.activation import ACTIVATIONS, SIGMOID
 from nncat.algebra import EntryWeights
 from nncat.backprop import backprop_step
 from nncat.loss import transform_loss
-from nncat.network import compose, net_forward
+from nncat.network import compose, identity_net, net_forward
 
 try:
     import numpy  # noqa: F401
@@ -124,18 +126,88 @@ def max_entry_dev(a, b) -> float:
     return max((abs(x - y) for x, y in zip(a.entries, b.entries)), default=0.0)
 
 
+def bits(values) -> bytes:
+    """`values` as IEEE 754 doubles, so 0.0 and -0.0 differ and NaN
+    equals NaN."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def law_sides(first, second, a, loss):
-    """Both sides of compositionality as the bits of every updated entry:
-    the step of `compose(first, second)`, and the composite of the step
-    of `first` against the loss pulled back through `second` with the
-    step of `second` at the state `first` forwards."""
+    """Both sides of the step's functor law as the bits of each layer's
+    updated entries: the step of `compose(first, second)`, and the
+    composite of the step of `first` against the loss pulled back through
+    `second` with the step of `second` at the state `first` forwards."""
     whole, _ = backprop_step(compose(first, second), a, loss)
     left, _ = backprop_step(first, a, transform_loss(second, loss))
     right, _ = backprop_step(second, net_forward(first, a), loss)
     return tuple(
-        [struct.pack("<d", w) for layer in net.layers for w in layer.transition.entries]
+        [bits(layer.transition.entries) for layer in net.layers]
         for net in (whole, compose(left, right))
     )
+
+
+def pullback_sides(first, second, a, loss):
+    """Both sides of the pullback's functor law at `a`, the value and
+    the erosion as bits: `transform_loss` through `compose(first,
+    second)`, and through `first` after `second`."""
+    composite = transform_loss(compose(first, second), loss)
+    nested = transform_loss(first, transform_loss(second, loss))
+    return tuple((bits((p.evaluate(a),)), bits(p.erosion(a))) for p in (composite, nested))
+
+
+# The one strategy for drawn networks.  P(mutable) of 1, 0.5 and 0.1,
+# keyed by mask density.
+FLAGS = {
+    1.0: st.just(True),
+    0.5: st.booleans(),
+    0.1: st.sampled_from((True,) + (False,) * 9),
+}
+
+
+@st.composite
+def nets(draw, depths=(0, 3), widths=(0, 5), overflow=True):
+    """A network and whether it is an overflow case.  Its layer count is
+    in `depths` and every width, the input, the output and each hidden
+    one, in `widths`, so a layer may have no rows or no columns; every
+    activation, and one mask density of 1, 0.5 or 0.1.  Weights are in
+    [-2, 2] or, in an overflow case, drawn only when `overflow`, in
+    [-1e154, 1e154]."""
+    overflow = overflow and draw(st.booleans())
+    scale = 1e154 if overflow else 2.0
+    weight = st.floats(-scale, scale)
+    flag = FLAGS[draw(st.sampled_from(sorted(FLAGS)))]
+    dims = [draw(st.integers(*widths)) for _ in range(draw(st.integers(*depths)) + 1)]
+    layers = [
+        make_layer(
+            [[draw(weight) for _ in range(n)] for _ in range(k)],
+            [draw(weight) for _ in range(k)],
+            draw(st.sampled_from(all_activations())),
+            tuple(tuple(draw(flag) for _ in range(n)) for _ in range(k)),
+            tuple(draw(flag) for _ in range(k)),
+            in_dim=n,
+        )
+        for n, k in zip(dims, dims[1:])
+    ]
+    return (Network.chain(layers) if layers else identity_net(dims[0])), overflow
+
+
+def rows(net):
+    """(input, target) pairs for `net`, every entry in [-2, 2]."""
+    state = st.floats(-2.0, 2.0)
+    return st.tuples(st.tuples(*[state] * net.in_dim), st.tuples(*[state] * net.out_dim))
+
+
+def rates(overflow):
+    """The rate of an overflow case, 1e300, or one in [0, 2]."""
+    return st.just(1e300) if overflow else st.floats(0.0, 2.0)
+
+
+@st.composite
+def step_cases(draw):
+    """(net, a, loss): a network of `nets()`, an input and a loss."""
+    net, overflow = draw(nets())
+    a, target = draw(rows(net))
+    return net, a, squared_error(target, draw(rates(overflow)))
 
 
 # A layer chooses its kind of kernel, pure or numpy, once: at its first

@@ -24,7 +24,11 @@ from helpers import (
     mazur_loss,
     mazur_network,
     max_entry_dev,
+    nets,
+    pullback_sides,
     random_loss,
+    rates,
+    rows,
 )
 
 
@@ -226,36 +230,16 @@ class TestFunctoriality:
         )
 
 
-# a mutable flag at mask density 1, 0.5 and 0.1
-FLAGS = [st.just(True), st.booleans(), st.sampled_from((True,) + (False,) * 9)]
-
-
 @st.composite
 def pure_splits(draw):
-    """(first, second, a, loss): 1-3 layers on each side, dims 1-5, any
-    activation, one mask density."""
-    weight, state = st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)
-    flag = draw(st.sampled_from(FLAGS))
-    sides = []
-    dim = draw(st.integers(1, 5))
-    for _ in range(2):
-        layers = []
-        for _ in range(draw(st.integers(1, 3))):
-            n, dim = dim, draw(st.integers(1, 5))
-            layers.append(
-                make_layer(
-                    [[draw(weight) for _ in range(n)] for _ in range(dim)],
-                    [draw(weight) for _ in range(dim)],
-                    draw(st.sampled_from(all_activations())),
-                    tuple(tuple(draw(flag) for _ in range(n)) for _ in range(dim)),
-                    tuple(draw(flag) for _ in range(dim)),
-                )
-            )
-        sides.append(Network.chain(layers))
-    first, second = sides
-    a = draw(st.tuples(*[state] * first.in_dim))
-    target = draw(st.tuples(*[state] * second.out_dim))
-    return first, second, a, squared_error(target, draw(st.floats(0.0, 2.0)))
+    """(first, second, a, loss): a network of `helpers.nets` with 2-6
+    layers and no overflow case, cut into 1-3 layers a side."""
+    net, _ = draw(nets(depths=(2, 6), overflow=False))
+    depth = len(net.layers)
+    cut = draw(st.integers(max(1, depth - 3), min(3, depth - 1)))
+    a, target = draw(rows(net))
+    first, second = Network.chain(net.layers[:cut]), Network.chain(net.layers[cut:])
+    return first, second, a, squared_error(target, draw(rates(False)))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -263,9 +247,15 @@ def pure_splits(draw):
 def test_compositionality_is_bitwise(case):
     """Backprop is functorial by construction: the step of a composite
     has, entry for entry, the bits of the composite of its parts' steps,
-    so 0.0 and -0.0 differ too."""
+    so 0.0 and -0.0 differ too.  The pullback's functor law holds bit for
+    bit too: the loss pulled back through the composite has the value
+    and the erosion of the loss pulled back through each part in turn.
+    Every layer here is narrow, so both laws hold on the pure kernels,
+    with or without numpy."""
     whole, split = law_sides(*case)
     assert whole == split
+    composite, nested = pullback_sides(*case)
+    assert composite == nested
 
 
 class TestTrain:

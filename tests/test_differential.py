@@ -18,82 +18,25 @@ into the loss or passed as `rest`, must equal central differences taken
 from the definitions, each entry perturbed in a whole new layer, as bits
 or as the error text.
 
-Networks are drawn with in_dim 0-5 (0-6 and depth 1-4 for the finite
-differences), every activation and mask densities 1, 0.5 and 0.1;
-overflow cases use weights near 1e154 and a rate of 1e300.
+Networks are drawn by `helpers.nets`, the suite's one network
+strategy: 0-3 layers and every width 0-5, hidden widths 0 among them
+(1-4 layers and widths 0-6 for the finite differences), every
+activation and mask densities 1, 0.5 and 0.1; overflow cases use
+weights up to 1e154 and a rate of 1e300.
 """
-
-import struct
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH, act_map
+from nncat.activation import IDENTITY, SIGMOID, TANH, act_map
 from nncat.algebra import DomainError, EntryWeights, Mat, kleisli_apply, outer, vec_mat, weights_part
 from nncat.backprop import SgdConfig, backprop_step, train
 from nncat.backward import Gradient, layer_erosion_vector, masked_update, sweep
 from nncat.loss import squared_error, transform_loss, validity
-from nncat.network import Layer, Network, identity_net, layer_forward, make_layer, net_forward
+from nncat.network import Layer, Network, layer_forward, make_layer, net_forward
 from nncat.oracle import FdConfig, fd_layer_gradient
 
-ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
-# P(mutable) of 1, 0.5 and 0.1
-FLAGS = {
-    1.0: st.just(True),
-    0.5: st.booleans(),
-    0.1: st.sampled_from((True,) + (False,) * 9),
-}
-
-
-def bits(values) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
-
-
-@st.composite
-def nets(draw, depths=st.integers(0, 3), max_dim=5):
-    """A network and whether it is an overflow case."""
-    overflow = draw(st.booleans())
-    scale = 1e154 if overflow else 2.0
-    density = draw(st.sampled_from(sorted(FLAGS)))
-    weight = st.floats(-scale, scale, allow_nan=False)
-    flag = FLAGS[density]
-    in_dim = draw(st.integers(0, max_dim))
-    depth = draw(depths)
-    widths = [in_dim] + [draw(st.integers(1, max_dim)) for _ in range(depth - 1)]
-    if depth:
-        widths.append(draw(st.integers(0, max_dim)))
-    layers = [
-        make_layer(
-            [[draw(weight) for _ in range(n)] for _ in range(k)],
-            [draw(weight) for _ in range(k)],
-            draw(st.sampled_from(ACTS)),
-            tuple(tuple(draw(flag) for _ in range(n)) for _ in range(k)),
-            tuple(draw(flag) for _ in range(k)),
-            in_dim=n,
-        )
-        for n, k in zip(widths, widths[1:])
-    ]
-    net = Network.chain(layers) if layers else identity_net(in_dim)
-    return net, overflow
-
-
-def rows(net):
-    """(input, target) pairs for `net`."""
-    state = st.floats(-2.0, 2.0)
-    return st.tuples(
-        st.tuples(*[state] * net.in_dim), st.tuples(*[state] * net.out_dim)
-    )
-
-
-def rates(overflow):
-    return st.just(1e300) if overflow else st.floats(0.0, 2.0)
-
-
-@st.composite
-def step_cases(draw):
-    net, overflow = draw(nets())
-    a, target = draw(rows(net))
-    return net, a, squared_error(target, draw(rates(overflow)))
+from helpers import bits, nets, rates, rows, step_cases
 
 
 def reference_step(net, a, loss):
@@ -295,7 +238,7 @@ def reference_fd(layer, a, rest, loss, eps):
 @st.composite
 def fd_cases(draw):
     """A network of 1-4 layers, one input per layer, a loss and an eps."""
-    net, overflow = draw(nets(depths=st.integers(1, 4), max_dim=6))
+    net, overflow = draw(nets(depths=(1, 4), widths=(0, 6)))
     state = st.floats(-2.0, 2.0)
     inputs = [draw(st.tuples(*[state] * layer.in_dim)) for layer in net.layers]
     target = draw(st.tuples(*[state] * net.out_dim))

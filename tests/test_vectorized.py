@@ -16,9 +16,10 @@ kind every layer ran, so no comparison can set numpy against numpy.
 Every numpy kernel runs with warnings as errors, so an overflow that
 numpy reported as a `RuntimeWarning` would fail.
 
-Networks are drawn as in `test_differential`: in_dim 0-5, 1-3 layers,
-every activation, mask densities 1, 0.5 and 0.1, and overflow cases with
-weights near 1e154 and a rate of 1e300.
+Networks are drawn by `helpers.nets`, the suite's one network
+strategy, as in `test_differential`: 0-3 layers and every width 0-5,
+hidden widths 0 among them, every activation, mask densities 1, 0.5 and
+0.1, and overflow cases with weights up to 1e154 and a rate of 1e300.
 
 A wide layer loads its `ArrayWeights` once, at its first use, and a
 layer that a step rebuilt starts from the weights that step made, of
@@ -31,7 +32,6 @@ construction and a step never changes weights that a layer holds.
 """
 
 import random
-import struct
 import warnings
 
 import pytest
@@ -42,25 +42,30 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from nncat import backprop, network  # noqa: E402
 from nncat._vectorized import ArrayWeights  # noqa: E402
-from nncat.activation import ACTIVATIONS, IDENTITY, SIGMOID, TANH  # noqa: E402
+from nncat.activation import IDENTITY, SIGMOID, TANH  # noqa: E402
 from nncat.algebra import DomainError, EntryWeights, Mat  # noqa: E402
 from nncat.fileio import parse_network, serialize_network  # noqa: E402
-from nncat.loss import squared_error, transform_loss, validity  # noqa: E402
+from nncat.loss import squared_error, validity  # noqa: E402
 from nncat.loss import validity_equation_check  # noqa: E402
 from nncat.network import Layer, Network, compose, make_layer, net_forward  # noqa: E402
 from nncat.randnet import random_layer, random_state  # noqa: E402
 
-from helpers import law_sides, numpy_under, on_numpy, random_loss, rebuilt  # noqa: E402
+from helpers import (  # noqa: E402
+    FLAGS,
+    all_activations,
+    bits,
+    law_sides,
+    numpy_under,
+    on_numpy,
+    pullback_sides,
+    random_loss,
+    rebuilt,
+    step_cases,
+)
 
-ACTS = [ACTIVATIONS[tag] for tag in sorted(ACTIVATIONS)]
 ALL_NUMPY = 0
 ALL_PURE = 10**9
 WIDE = network.WIDE_SIDE
-FLAGS = {
-    1.0: st.just(True),
-    0.5: st.booleans(),
-    0.1: st.sampled_from((True,) + (False,) * 9),
-}
 
 
 @pytest.fixture(autouse=True)
@@ -68,10 +73,6 @@ def warnings_are_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         yield
-
-
-def bits(values) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
 
 
 def step_bits(stepped, trace):
@@ -106,35 +107,6 @@ def step(net, a, loss, side):
             got = step_bits(stepped, trace)
         assert on_numpy(net) == numpy_under(net, side)
     return got
-
-
-@st.composite
-def step_cases(draw):
-    overflow = draw(st.booleans())
-    scale = 1e154 if overflow else 2.0
-    weight = st.floats(-scale, scale, allow_nan=False)
-    flag = FLAGS[draw(st.sampled_from(sorted(FLAGS)))]
-    widths = [draw(st.integers(0, 5))] + [
-        draw(st.integers(0, 5)) for _ in range(draw(st.integers(1, 3)))
-    ]
-    net = Network.chain(
-        [
-            make_layer(
-                [[draw(weight) for _ in range(n)] for _ in range(k)],
-                [draw(weight) for _ in range(k)],
-                draw(st.sampled_from(ACTS)),
-                tuple(tuple(draw(flag) for _ in range(n)) for _ in range(k)),
-                tuple(draw(flag) for _ in range(k)),
-                in_dim=n,
-            )
-            for n, k in zip(widths, widths[1:])
-        ]
-    )
-    state = st.floats(-2.0, 2.0)
-    a = draw(st.tuples(*[state] * net.in_dim))
-    target = draw(st.tuples(*[state] * net.out_dim))
-    rate = 1e300 if overflow else draw(st.floats(0.0, 2.0))
-    return net, a, squared_error(target, rate)
 
 
 # 3 puts the layers with at least 3 rows and columns on numpy and
@@ -269,7 +241,7 @@ def mixed_splits(draw):
     dims = [draw(dim) for _ in range(sum(counts) + 1)]
     layers = [
         random_layer(
-            rng, n, k, draw(st.sampled_from(ACTS)),
+            rng, n, k, draw(st.sampled_from(all_activations())),
             weight_scale=n ** -0.5, mask_density=density,
         )
         for n, k in zip(dims, dims[1:])
@@ -277,15 +249,6 @@ def mixed_splits(draw):
     first = Network.chain(layers[: counts[0]])
     second = Network.chain(layers[counts[0] :])
     return first, second, random_state(rng, first.in_dim, 1.0), random_loss(rng, second.out_dim)
-
-
-def pullback_sides(first, second, a, loss):
-    """Both sides of the pullback's functor law at `a`, the value and
-    the erosion as bits: `transform_loss` through `compose(first,
-    second)`, and through `first` after `second`."""
-    composite = transform_loss(compose(first, second), loss)
-    nested = transform_loss(first, transform_loss(second, loss))
-    return tuple((bits((p.evaluate(a),)), bits(p.erosion(a))) for p in (composite, nested))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

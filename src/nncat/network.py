@@ -29,7 +29,7 @@ and names no layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Sequence
 
 from .activation import Activation, act_map
@@ -93,23 +93,14 @@ class Layer:
         least `WIDE_SIDE` rows and columns when numpy can be imported,
         `ArrayWeights` loaded from its entries and flags; otherwise
         `EntryWeights` on its entry tuple and flags.  numpy is imported
-        here, for the first wide layer, and never at module import:
-        `_vectorized` imports this module.
+        by `_array_weights`, for the first wide layer.
         `Network._with_weights` alone seeds it, with the step's new
         weights, and `_loaded` alone reads it.  Like `mutable`, it lives
         outside the fields, so equality, `repr` and serialization never
         see it."""
-        global _vectorized
         t = self.transition
-        if min(t.rows, t.cols) >= WIDE_SIDE:
-            if _vectorized is None:
-                try:
-                    from . import _vectorized as module
-                except ImportError:
-                    module = False
-                _vectorized = module
-            if _vectorized:
-                return _vectorized.ArrayWeights.of(self)
+        if min(t.rows, t.cols) >= WIDE_SIDE and (arrays := _array_weights()):
+            return arrays.of(self)
         return EntryWeights(t.entries, t.cols, self.mutable)
 
     @property
@@ -253,10 +244,18 @@ def layer_forward(layer: Layer, x: Vec) -> Vec:
 # than their whole run.
 WIDE_SIDE = 17
 
-# the `_vectorized` module once the first wide layer has tried to import
-# it, or False if numpy is missing: a failed import is not cached by
-# Python and would search the path again for every wide layer
-_vectorized: Any = None
+@cache
+def _array_weights() -> Any:
+    """`_vectorized.ArrayWeights`, or None when numpy cannot be imported.
+    Imported at the first wide layer, never at module import, since
+    `_vectorized` imports this module; cached, since Python does not
+    cache a failed import and would search the path again for every
+    wide layer."""
+    try:
+        from ._vectorized import ArrayWeights
+    except ImportError:
+        return None
+    return ArrayWeights
 
 
 def _loaded(net: Network) -> list[Any]:

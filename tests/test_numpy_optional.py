@@ -89,11 +89,18 @@ def test_without_numpy_a_wide_layer_steps_on_the_pure_kernels(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setitem(sys.modules, "nncat._vectorized", None)
     monkeypatch.delattr("nncat._vectorized", raising=False)
-    monkeypatch.setattr(network, "_vectorized", None)
-    (weights,) = network._loaded(net)
-    assert isinstance(weights, EntryWeights)
-    assert weights.entries() == net.layers[0].transition.entries
-    assert network._vectorized is False
-    got, _ = backprop.backprop_step(net, x, loss)
-    assert on_numpy(got) == [False]
-    assert got == want
+    network._array_weights.cache_clear()
+    try:
+        (weights,) = network._loaded(net)
+        assert isinstance(weights, EntryWeights)
+        assert weights.entries() == net.layers[0].transition.entries
+        got, _ = backprop.backprop_step(net, x, loss)
+        assert on_numpy(got) == [False]
+        assert got == want
+        # a missing numpy is remembered: the second wide layer's first
+        # use makes no second import attempt
+        assert on_numpy(rebuilt(net)) == [False]
+        info = network._array_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+    finally:
+        network._array_weights.cache_clear()

@@ -195,10 +195,11 @@ def train(
                 f"got {len(x)} and {len(t)}"
             )
 
-    # built only when a step reads them, so 0 epochs still accept any rate > 0
-    # and load no weights
-    rows = [(x, squared_error(t, rate)) for x, t in dataset] if cfg.epochs else []
-    weights = _loaded(net) if cfg.epochs else []
+    # 0 epochs build no loss, so any rate > 0 is accepted, and load no weights
+    if not cfg.epochs:
+        return net, []
+    rows = [(x, squared_error(t, rate)) for x, t in dataset]
+    weights = _loaded(net)
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         for row, (x, loss) in enumerate(rows, 1):

@@ -338,8 +338,8 @@ MUTANTS = [
     (
         "a stray _step_weights read",
         "src/nncat/backprop.py",
-        "    weights = _loaded(net)\n",
-        "    weights = [layer._step_weights for layer in net.layers]\n",
+        "    weights = _loaded(net)\n    trace = ",
+        "    weights = [layer._step_weights for layer in net.layers]\n    trace = ",
         ["tests/test_unchecked_rebuild_rule.py::test_one_place_reads_what_a_layer_carries"],
     ),
     (

@@ -195,7 +195,9 @@ class TestNetworkConstruction:
             Network((layer,), 2, -1)
 
     def test_chain_rejects_empty(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(
+            ShapeError, match="^cannot infer dimensions of an empty network; use identity_net$"
+        ):
             Network.chain([])
 
 
@@ -353,7 +355,7 @@ class TestCompose:
             assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^cannot compose 2->3 with 2->2$"):
             compose(random_network(random.Random(0), 2, 3), identity_net(2))
 
 

@@ -244,6 +244,7 @@ def layer_forward(layer: Layer, x: Vec) -> Vec:
 # than their whole run.
 WIDE_SIDE = 17
 
+
 @cache
 def _array_weights() -> Any:
     """`_vectorized.ArrayWeights`, or None when numpy cannot be imported.

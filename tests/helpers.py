@@ -127,8 +127,7 @@ def max_entry_dev(a, b) -> float:
 
 
 def bits(values) -> bytes:
-    """`values` as IEEE 754 doubles, so 0.0 and -0.0 differ and NaN
-    equals NaN."""
+    """`values` as IEEE 754 doubles, so 0.0 and -0.0 differ."""
     return struct.pack(f"<{len(values)}d", *values)
 
 
@@ -170,8 +169,8 @@ def nets(draw, depths=(0, 3), widths=(0, 5), overflow=True):
     in `depths` and every width, the input, the output and each hidden
     one, in `widths`, so a layer may have no rows or no columns; every
     activation, and one mask density of 1, 0.5 or 0.1.  Weights are in
-    [-2, 2] or, in an overflow case, drawn only when `overflow`, in
-    [-1e154, 1e154]."""
+    [-2, 2], or in [-1e154, 1e154] in an overflow case, which is drawn,
+    half the time, only when `overflow` is true."""
     overflow = overflow and draw(st.booleans())
     scale = 1e154 if overflow else 2.0
     weight = st.floats(-scale, scale)

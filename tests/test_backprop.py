@@ -233,8 +233,9 @@ class TestFunctoriality:
 @st.composite
 def pure_splits(draw):
     """(first, second, a, loss): a network of `helpers.nets` with 2-6
-    layers and no overflow case, cut into 1-3 layers a side."""
-    net, _ = draw(nets(depths=(2, 6), overflow=False))
+    layers, every width 0-6 and no overflow case, cut into 1-3 layers a
+    side."""
+    net, _ = draw(nets(depths=(2, 6), widths=(0, 6), overflow=False))
     depth = len(net.layers)
     cut = draw(st.integers(max(1, depth - 3), min(3, depth - 1)))
     a, target = draw(rows(net))

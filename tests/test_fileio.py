@@ -70,14 +70,104 @@ def layer_doc(**fields):
 
 
 class TestNetworkParsing:
+    def base_doc(self):
+        return {"in_dim": 2, "layers": [layer_doc()]}
+
+    def parse(self, doc):
+        return parse_network(json.dumps(doc))
+
     def test_mask_and_bias_mutable_default_to_all_true(self):
         net = parse_network(json.dumps({"layers": [layer_doc()]}))
         assert net.layers[0].mask == ((True, True), (True, True))
         assert net.layers[0].bias_mutable == (True, True)
 
+    def test_unknown_activation_rejected(self):
+        doc = self.base_doc()
+        doc["layers"][0]["activation"] = "relu"
+        with pytest.raises(FileFormatError, match="relu"):
+            self.parse(doc)
+
     def test_not_json(self):
         with pytest.raises(FileFormatError, match="JSON"):
             parse_network("{nope")
+
+    def test_top_level_must_be_object(self):
+        with pytest.raises(FileFormatError):
+            parse_network("[1, 2]")
+
+    def test_missing_layers(self):
+        with pytest.raises(FileFormatError, match="layers"):
+            parse_network("{}")
+
+    def test_empty_layers_need_in_dim(self):
+        with pytest.raises(FileFormatError, match="in_dim"):
+            parse_network('{"layers": []}')
+
+    def test_zero_row_first_layer_needs_in_dim(self):
+        text = '{"layers": [{"weights": [], "bias": [], "activation": "tanh"}]}'
+        with pytest.raises(FileFormatError, match="layer 0: zero-row weights need a declared"):
+            parse_network(text)
+
+    def test_weight_bias_length_mismatch(self):
+        doc = self.base_doc()
+        doc["layers"][0]["bias"] = [0.35]
+        with pytest.raises(FileFormatError, match="layer 0"):
+            self.parse(doc)
+
+    def test_boolean_weights_rejected(self):
+        doc = self.base_doc()
+        doc["layers"][0]["bias"] = [0.35, True]
+        with pytest.raises(FileFormatError, match="finite numbers"):
+            self.parse(doc)
+
+    def test_chain_mismatch_names_layer(self):
+        doc = self.base_doc()
+        doc["layers"].append(
+            {"weights": [[1.0, 2.0, 3.0]], "bias": [0.0], "activation": "tanh"}
+        )
+        with pytest.raises(
+            FileFormatError, match="^layer 0 emits 2 values but layer 1 expects 3$"
+        ):
+            self.parse(doc)
+
+    def test_declared_in_dim_checked(self):
+        doc = self.base_doc()
+        doc["in_dim"] = 5
+        with pytest.raises(FileFormatError, match="^layer 0 expects 2 inputs, network declares 5$"):
+            self.parse(doc)
+
+    # the parser checks JSON types only; `make_layer` and `Layer` check
+    # the shapes, and the parser reports their errors with the layer
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("mask", [[True], [True]], "mask must be 2x2 to match transition 2x3"),
+            ("bias_mutable", [True], "bias_mutable must have length 2, got 1"),
+            ("weights", [[1, 2], [1]], "row 0 has 2 entries but row 1 has 1"),
+        ],
+        ids=["short-rows", "bias-flags", "ragged"],
+    )
+    def test_bad_mask_shape(self, key, value, expected):
+        doc = self.base_doc()
+        doc["layers"][0][key] = value
+        with pytest.raises(FileFormatError, match=f"^layer 0: {expected}$"):
+            self.parse(doc)
+
+    def test_mask_entries_must_be_booleans(self):
+        doc = self.base_doc()
+        doc["layers"][0]["mask"] = [[1, 0], [1, 1]]
+        with pytest.raises(
+            FileFormatError, match="^layer 0: mask must be an array of boolean arrays$"
+        ):
+            self.parse(doc)
+
+    def test_bias_flags_must_be_booleans(self):
+        doc = self.base_doc()
+        doc["layers"][0]["bias_mutable"] = [1, 0]
+        with pytest.raises(
+            FileFormatError, match="^layer 0: bias_mutable must be an array of booleans$"
+        ):
+            self.parse(doc)
 
     def test_missing_file_mentions_path(self, tmp_path):
         path = tmp_path / "missing.json"

@@ -12,7 +12,7 @@ from nncat.loss import (
     validity,
     validity_equation_check,
 )
-from nncat.network import Network, identity_net, make_layer
+from nncat.network import Network, compose, identity_net, make_layer
 from nncat.oracle import FdConfig, fd_erosion
 from nncat.randnet import random_network, random_state
 
@@ -83,6 +83,20 @@ class TestTransformLoss:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             transform_loss(mazur_network(), squared_error((0.1, 0.2, 0.3), 0.5))
+
+    def test_nested_equals_composed_bitwise(self):
+        rng = random.Random(1010)
+        for _ in range(20):
+            mid = rng.randint(1, 4)
+            first = random_network(rng, rng.randint(1, 4), mid)
+            second = random_network(rng, mid, rng.randint(1, 4))
+            loss = random_loss(rng, second.out_dim)
+            nested = transform_loss(first, transform_loss(second, loss))
+            composed = transform_loss(compose(first, second), loss)
+            for _ in range(5):
+                x = random_state(rng, first.in_dim)
+                assert nested.evaluate(x) == composed.evaluate(x)
+                assert nested.erosion(x) == composed.erosion(x)
 
     @pytest.mark.parametrize(
         "weights, rate, text",
